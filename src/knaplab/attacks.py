@@ -14,10 +14,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .akleylek import AkleylekCiphertext, AkleylekPublicKey, encrypt
 from .errors import MalformedCiphertext, ParameterError
-from .modified import ModifiedCiphertext, ModifiedPublicKey
-from .numtheory import BitVector, binary_entropy, binomial, entropy_bound, mod_inv
+from .numtheory import (
+    BitVector,
+    binary_entropy,
+    binomial,
+    entropy_bound,
+    mod_inv,
+    power_index,
+)
+from .schemes import scheme_of
 
 DEFAULT_MAX_LIST_ENTRIES = 1 << 22
 
@@ -39,29 +45,33 @@ class ComplexityProfile:
 
 
 def recover_hamming_weight(pk, c1: int) -> int:
-    """Weight of the encrypted vector, read off C1 by iterated multiplication.
+    """Weight of the encrypted vector, read off C1 = s^h.
 
     Unreduced ciphertexts make this a strictly increasing integer scan; the
     hardened scheme reduces mod p, where scanning s^1..s^n mod p is the
     degenerate baby-step giant-step over the only n possible exponents.
     """
-    n = pk.n
-    s = pk.s_value
-    if isinstance(pk, ModifiedPublicKey):
+    n, s = pk.n, pk.s_value
+    if scheme_of(pk).reduced:
         t = 1
         for h in range(1, n + 1):
             t = t * s % pk.p
             if t == c1:
                 return h
     else:
-        t = s
-        for h in range(1, n + 1):
-            if t == c1:
-                return h
-            if t > c1:
-                break
-            t *= s
+        h = power_index(s, c1, n)
+        if h:  # C1 = 1 is s^0, which no encryption produces
+            return h
     raise MalformedCiphertext(f"C1 is not s^h for any h in [1, {n}]")
+
+
+def _weight_and_target(pk, ct) -> tuple[int, int, int | None]:
+    """(h, the product to match, the modulus it is reduced by or None)."""
+    scheme = scheme_of(pk)
+    if type(ct) is not scheme.ciphertext:
+        raise ParameterError("ciphertext does not belong to this key")
+    c1, target = scheme.attack_target(ct)
+    return recover_hamming_weight(pk, c1), target, pk.p if scheme.reduced else None
 
 
 def _subset_products(values, indices, weight_cap):
@@ -82,16 +92,7 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
     pruning only ever lowers it below n-choose-h.
     """
     start = time.perf_counter()
-    if isinstance(pk, ModifiedPublicKey):
-        if not isinstance(ct, ModifiedCiphertext):
-            raise ParameterError("ciphertext does not belong to this key")
-        h = recover_hamming_weight(pk, ct.c1_prime)
-        target, modulus = ct.c1_dprime, pk.p
-    else:
-        if not isinstance(ct, AkleylekCiphertext):
-            raise ParameterError("ciphertext does not belong to this key")
-        h = recover_hamming_weight(pk, ct.c1)
-        target, modulus = ct.c2, None
+    h, target, modulus = _weight_and_target(pk, ct)
     n, u = pk.n, pk.u
     found: list[BitVector] = []
     examined = 0
@@ -147,12 +148,7 @@ def mitm_subset_attack(
         raise ParameterError(f"split must lie in [1, {n - 1}]")
     if (1 << split) + (1 << (n - split)) > max_list_entries:
         raise ParameterError("split exceeds the configured memory cap")
-    if isinstance(pk, ModifiedPublicKey):
-        h = recover_hamming_weight(pk, ct.c1_prime)
-        target, modulus = ct.c1_dprime, pk.p
-    else:
-        h = recover_hamming_weight(pk, ct.c1)
-        target, modulus = ct.c2, None
+    h, target, modulus = _weight_and_target(pk, ct)
     u = pk.u
     left = _subset_products(u, range(split), h)
     right = _subset_products(u, range(split, n), h)
@@ -199,11 +195,3 @@ def attack_complexity_profile(
         regime = "large"
     return ComplexityProfile(exact=exact, bound=bound, regime=regime)
 
-
-def deterministic_distinguisher(
-    pk: AkleylekPublicKey, m0: BitVector, m1: BitVector, challenge: AkleylekCiphertext
-) -> int:
-    """Re-encrypt m0 and compare: trivially wins when encryption is deterministic."""
-    if len(m0) != pk.n or len(m1) != pk.n:
-        raise ParameterError("messages must have length n")
-    return 0 if encrypt(pk, m0) == challenge else 1

@@ -12,11 +12,10 @@ import random
 import sys
 
 from . import akleylek, attacks, games, keyfile, modified
-from .akleylek import AkleylekCiphertext, AkleylekPublicKey, AkleylekSecretKey
 from .errors import MalformedCiphertext, ParameterError
 from .keyfile import KeyFileError, KeyParams
-from .modified import ModifiedCiphertext, ModifiedSecretKey
 from .numtheory import BitVector
+from .schemes import ORIGINAL, SCHEMES, scheme_of
 
 REJECT_TOKEN = "REJECT"
 
@@ -41,7 +40,7 @@ def _load_public_key(path):
 
 def _load_secret_key(path):
     key = keyfile.load_key(path)
-    if not isinstance(key, (AkleylekSecretKey, ModifiedSecretKey)):
+    if not any(type(key) is scheme.secret_key for scheme in SCHEMES.values()):
         raise KeyFileError(f"{path}: expected a secret key file")
     return key
 
@@ -51,8 +50,11 @@ def _read_ciphertext(args):
     return keyfile.ciphertext_from_text(text)
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 16) if text.lower().startswith("0x") else int(text, 10)
+def _matching_scheme(key, ct):
+    scheme = scheme_of(key)
+    if type(ct) is not scheme.ciphertext:
+        raise KeyFileError("ciphertext does not match the key's scheme")
+    return scheme
 
 
 def _bench_row(n: int, report) -> str:
@@ -73,17 +75,12 @@ def cmd_keygen(args) -> int:
             raise ParameterError(
                 f"params file is for scheme {params.scheme!r}, not {args.scheme!r}"
             )
-        if params.scheme == "original":
-            pub, sec = akleylek.keypair_from_params(
-                params.p, params.g, params.x, params.k, params.terms
-            )
-        else:
-            pub, sec = modified.keypair_from_params(
-                params.p, params.g, params.x, params.k, params.terms
-            )
+        pub, sec = SCHEMES[params.scheme].keypair_from_params(
+            params.p, params.g, params.x, params.k, params.terms
+        )
+    elif args.n is None:
+        raise ParameterError("-n is required unless --fixed-key is given")
     elif args.scheme == "original":
-        if args.n is None:
-            raise ParameterError("-n is required unless --fixed-key is given")
         bits = (
             args.modulus_bits
             if args.modulus_bits is not None
@@ -97,8 +94,6 @@ def cmd_keygen(args) -> int:
             enforce_capacity=not args.allow_overflow,
         )
     else:
-        if args.n is None:
-            raise ParameterError("-n is required unless --fixed-key is given")
         pub, sec = modified.keygen(args.n, args.prime_bits, rng)
     keyfile.save_key(args.public_out, pub)
     keyfile.save_key(args.secret_out, sec)
@@ -109,10 +104,8 @@ def cmd_keygen(args) -> int:
 def cmd_encrypt(args) -> int:
     pk = _load_public_key(args.key)
     rng = _rng(args.seed)
-    if isinstance(pk, AkleylekPublicKey):
-        ct = akleylek.encrypt(pk, BitVector.from_string(args.message))
-    else:
-        ct = modified.encrypt(pk, _parse_int(args.message), rng)
+    scheme = scheme_of(pk)
+    ct = scheme.encrypt(pk, scheme.parse_message(args.message), rng)
     print(keyfile.ciphertext_to_text(ct))
     return 0
 
@@ -120,32 +113,19 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     sk = _load_secret_key(args.key)
     ct = _read_ciphertext(args)
-    if isinstance(sk, AkleylekSecretKey):
-        if not isinstance(ct, AkleylekCiphertext):
-            raise KeyFileError("ciphertext does not match the key's scheme")
-        candidates = akleylek.decrypt_all(sk, ct, exhaustive_limit=args.limit)
-        if not candidates:
-            print(REJECT_TOKEN)
-            return 2
-        for m in candidates:
-            print(m)
-        return 0
-    if not isinstance(ct, ModifiedCiphertext):
-        raise KeyFileError("ciphertext does not match the key's scheme")
-    out = modified.decrypt(sk, ct)
-    if not out.accepted:
+    candidates = _matching_scheme(sk, ct).decrypt_all(sk, ct, args.limit)
+    if not candidates:
         print(REJECT_TOKEN)
         return 2
-    print(out.message)
+    for m in candidates:
+        print(m)
     return 0
 
 
 def cmd_attack(args) -> int:
     pk = _load_public_key(args.key)
     ct = _read_ciphertext(args)
-    matches = isinstance(pk, AkleylekPublicKey) == isinstance(ct, AkleylekCiphertext)
-    if not matches:
-        raise KeyFileError("ciphertext does not match the key's scheme")
+    _matching_scheme(pk, ct)
     if args.strategy == "exhaustive":
         report = attacks.exhaustive_subset_attack(pk, ct)
     else:
@@ -159,7 +139,7 @@ def cmd_attack(args) -> int:
 
 def cmd_audit(args) -> int:
     sk = _load_secret_key(args.key)
-    if not isinstance(sk, AkleylekSecretKey):
+    if scheme_of(sk) is not ORIGINAL:
         raise ParameterError("audit applies to original-scheme secret keys")
     report = akleylek.completeness_audit(sk, exhaustive_limit=args.limit)
     for product, members in report.collision_groups:
@@ -178,13 +158,16 @@ def _game_row(scheme: str, adversary: str, res: games.ExperimentResult) -> str:
     )
 
 
+def _game_scheme(args) -> games.GameScheme:
+    if args.scheme == "original":
+        return games.original_game_scheme(n=args.n, modulus_bits=args.modulus_bits)
+    return games.modified_game_scheme(n=args.n, prime_bits=args.prime_bits)
+
+
 def cmd_game(args) -> int:
     rng = _rng(args.seed)
     if args.game in ("distinguisher", "random-guess"):
-        if args.scheme == "original":
-            scheme = games.original_game_scheme(n=args.n, modulus_bits=args.modulus_bits)
-        else:
-            scheme = games.modified_game_scheme(n=args.n, prime_bits=args.prime_bits)
+        scheme = _game_scheme(args)
         adversary = (
             games.distinguisher_adversary(scheme)
             if args.game == "distinguisher"
@@ -227,12 +210,7 @@ def cmd_game(args) -> int:
         if rep.findings_truncated:
             print("finding,truncated=true")
         return 0
-    # completeness
-    if args.scheme == "original":
-        scheme = games.original_game_scheme(n=args.n, modulus_bits=args.modulus_bits)
-    else:
-        scheme = games.modified_game_scheme(n=args.n, prime_bits=args.prime_bits)
-    rep = games.run_completeness_trials(scheme, args.trials, rng)
+    rep = games.run_completeness_trials(_game_scheme(args), args.trials, rng)
     print(COMPLETENESS_HEADER)
     print(
         f"{args.scheme},completeness,{rep.trials},{rep.unique},{rep.ambiguous},{rep.failed}"
@@ -274,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate or rebuild a key pair")
-    p.add_argument("--scheme", choices=("original", "modified"), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("-n", type=int, default=None, help="number of knapsack positions")
     p.add_argument("--modulus-bits", type=int, default=None)
     p.add_argument("--prime-bits", type=int, default=8)
@@ -331,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         required=True,
     )
-    p.add_argument("--scheme", choices=("original", "modified"), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--mutations", type=int, default=10000)
     p.add_argument("-n", type=int, default=16)

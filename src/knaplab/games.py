@@ -18,6 +18,7 @@ from . import akleylek, modified
 from .errors import ParameterError
 from .modified import ModifiedCiphertext, ModifiedPublicKey
 from .numtheory import BitVector
+from .schemes import MODIFIED, ORIGINAL, Scheme
 
 MUTATION_KINDS = (
     "c1_prime",
@@ -50,19 +51,10 @@ class CompletenessReport:
 
 
 @dataclass(frozen=True)
-class GameScheme:
-    """Uniform keygen/encrypt/decrypt surface the experiments run against.
+class GameScheme(Scheme):
+    """A scheme record with key generation bound to fixed parameters."""
 
-    decrypt returns the message or None; None is the single error symbol,
-    so oracles cannot leak which internal check fired.
-    """
-
-    name: str
-    keygen: Callable
-    encrypt: Callable  # (pk, m, rng) -> ciphertext
-    decrypt: Callable  # (sk, ciphertext) -> message | None
-    sample_message_pair: Callable  # (pk, rng) -> (m0, m1)
-    classify_roundtrip: Callable  # (sk, ciphertext, m_true) -> unique|ambiguous|failed
+    keygen: Callable  # rng -> (pk, sk)
 
 
 def suggested_modulus_bits(n: int, max_step: int = 10) -> int:
@@ -76,58 +68,13 @@ def original_game_scheme(
     n: int = 16, modulus_bits: int | None = None, max_step: int = 10
 ) -> GameScheme:
     bits = modulus_bits if modulus_bits is not None else suggested_modulus_bits(n, max_step)
-
-    def sample_pair(pk, rng):
-        m0 = BitVector.from_int(rng.randrange(1, 1 << n), n)
-        while True:
-            m1 = BitVector.from_int(rng.randrange(1, 1 << n), n)
-            if m1 != m0:
-                return m0, m1
-
-    def dec(sk, ct):
-        got = akleylek.decrypt_all(sk, ct)
-        return got[0] if len(got) == 1 else None
-
-    def classify(sk, ct, m_true):
-        got = akleylek.decrypt_all(sk, ct)
-        if m_true not in got:
-            return "failed"
-        return "unique" if len(got) == 1 else "ambiguous"
-
     return GameScheme(
-        name="original",
-        keygen=lambda rng: akleylek.keygen(n, bits, rng, max_step=max_step),
-        encrypt=lambda pk, m, rng: akleylek.encrypt(pk, m),
-        decrypt=dec,
-        sample_message_pair=sample_pair,
-        classify_roundtrip=classify,
+        **vars(ORIGINAL), keygen=lambda rng: akleylek.keygen(n, bits, rng, max_step=max_step)
     )
 
 
 def modified_game_scheme(n: int = 16, prime_bits: int = 8) -> GameScheme:
-    def sample_pair(pk, rng):
-        m0 = rng.randrange(1, pk.max_message + 1)
-        while True:
-            m1 = rng.randrange(1, pk.max_message + 1)
-            if m1 != m0:
-                return m0, m1
-
-    def dec(sk, ct):
-        out = modified.decrypt(sk, ct)
-        return out.message if out.accepted else None
-
-    def classify(sk, ct, m_true):
-        out = modified.decrypt(sk, ct)
-        return "unique" if out.accepted and out.message == m_true else "failed"
-
-    return GameScheme(
-        name="modified",
-        keygen=lambda rng: modified.keygen(n, prime_bits, rng),
-        encrypt=modified.encrypt,
-        decrypt=dec,
-        sample_message_pair=sample_pair,
-        classify_roundtrip=classify,
-    )
+    return GameScheme(**vars(MODIFIED), keygen=lambda rng: modified.keygen(n, prime_bits, rng))
 
 
 class DecryptionOracle:
@@ -153,7 +100,6 @@ class DecryptionOracle:
         if self._challenge is not None and ct == self._challenge:
             self.refused += 1
             return None
-        assert ct != self._challenge  # the decryptor below never sees the challenge
         out = self._decrypt(self._sk, ct)
         if out is None:
             self.rejections += 1
@@ -290,12 +236,7 @@ def run_malleation_trials(
         m = trial_rng.randrange(1, pk.max_message + 1)
         r = BitVector.from_int(trial_rng.randrange(2, 1 << n), n)
         challenge = modified.encrypt_with_randomness(pk, m, r)
-        oracle = DecryptionOracle(
-            lambda sk_, ct_: (lambda o: o.message if o.accepted else None)(
-                modified.decrypt(sk_, ct_)
-            ),
-            sk,
-        )
+        oracle = DecryptionOracle(MODIFIED.decrypt, sk)
         oracle.set_challenge(challenge)
         if strategy == "case1":
             query = malleation_case1(challenge, pk, trial_rng)
@@ -435,10 +376,7 @@ def run_completeness_trials(
     counts = {"unique": 0, "ambiguous": 0, "failed": 0}
     for _ in range(trials):
         pk, sk = scheme.keygen(rng)
-        if scheme.name == "original":
-            m = BitVector.from_int(rng.randrange(1, 1 << pk.n), pk.n)
-        else:
-            m = rng.randrange(1, pk.max_message + 1)
+        m = scheme.sample_message(pk, rng)
         ct = scheme.encrypt(pk, m, rng)
         counts[scheme.classify_roundtrip(sk, ct, m)] += 1
     return CompletenessReport(
@@ -448,25 +386,3 @@ def run_completeness_trials(
         failed=counts["failed"],
     )
 
-
-def completeness_census(pk, sk) -> CompletenessReport:
-    """Classify every nonzero message of an original-scheme key pair."""
-    n = pk.n
-    if n > akleylek.DEFAULT_EXHAUSTIVE_LIMIT:
-        raise ParameterError(f"n={n} message space is too large to census")
-    counts = {"unique": 0, "ambiguous": 0, "failed": 0}
-    for value in range(1, 1 << n):
-        m = BitVector.from_int(value, n)
-        got = akleylek.decrypt_all(sk, akleylek.encrypt(pk, m))
-        if m not in got:
-            counts["failed"] += 1
-        elif len(got) == 1:
-            counts["unique"] += 1
-        else:
-            counts["ambiguous"] += 1
-    return CompletenessReport(
-        trials=(1 << n) - 1,
-        unique=counts["unique"],
-        ambiguous=counts["ambiguous"],
-        failed=counts["failed"],
-    )

@@ -9,11 +9,11 @@ one), matching what the worked key prints by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from dataclasses import fields as dataclass_fields
 
-from .akleylek import AkleylekCiphertext, AkleylekPublicKey, AkleylekSecretKey
-from .modified import ModifiedCiphertext, ModifiedPublicKey, ModifiedSecretKey
-from .numtheory import PrimeSequence, SuperIncreasingSeq
+from .errors import MalformedCiphertext
+from .schemes import SCHEMES, Scheme
 
 FORMAT_VERSION = 1
 
@@ -49,56 +49,16 @@ def _emit(scheme: str, role: str, fields: list[tuple[str, str]]) -> str:
 
 
 def serialize_key(key) -> str:
-    if isinstance(key, AkleylekPublicKey):
-        return _emit(
-            "original",
-            "public",
-            [
-                ("n", _hex(key.n)),
-                ("p", _hex(key.p)),
-                ("s", _hex_seq(key.s)),
-                ("u", _hex_seq(key.u)),
-            ],
-        )
-    if isinstance(key, AkleylekSecretKey):
-        return _emit(
-            "original",
-            "secret",
-            [
-                ("n", _hex(key.n)),
-                ("p", _hex(key.p)),
-                ("g", _hex(key.g)),
-                ("y", _hex(key.y)),
-                ("x", _hex(key.x)),
-                ("k", _hex(key.k)),
-                ("a", _hex_seq(key.a.terms)),
-            ],
-        )
-    if isinstance(key, ModifiedPublicKey):
-        return _emit(
-            "modified",
-            "public",
-            [
-                ("n", _hex(key.n)),
-                ("p", _hex(key.p)),
-                ("s", _hex_seq(key.s)),
-                ("u", _hex_seq(key.u)),
-            ],
-        )
-    if isinstance(key, ModifiedSecretKey):
-        return _emit(
-            "modified",
-            "secret",
-            [
-                ("n", _hex(key.n)),
-                ("p", _hex(key.p)),
-                ("g", _hex(key.g)),
-                ("y", _hex(key.y)),
-                ("x", _hex(key.x)),
-                ("k", _hex(key.k)),
-                ("primes", _hex_seq(key.primes.primes)),
-            ],
-        )
+    for scheme in SCHEMES.values():
+        if type(key) is scheme.public_key:
+            role, tail = "public", [("s", _hex_seq(key.s)), ("u", _hex_seq(key.u))]
+        elif type(key) is scheme.secret_key:
+            role = "secret"
+            tail = [(name, _hex(getattr(key, name))) for name in ("g", "y", "x", "k")]
+            tail.append((scheme.sequence_field, _hex_seq(getattr(key, scheme.sequence_field))))
+        else:
+            continue
+        return _emit(scheme.name, role, [("n", _hex(key.n)), ("p", _hex(key.p)), *tail])
     raise KeyFileError(f"cannot serialize {type(key).__name__}")
 
 
@@ -148,10 +108,10 @@ def parse_key(text: str):
         raise KeyFileError(f"unsupported format version {version!r}")
     scheme = _take(fields, "scheme")
     role = _take(fields, "role")
-    if scheme not in ("original", "modified"):
+    if scheme not in SCHEMES:
         raise KeyFileError(f"unknown scheme {scheme!r}")
     try:
-        key = _build(scheme, role, fields)
+        key = _build(SCHEMES[scheme], role, fields)
     except ValueError as exc:
         if isinstance(exc, KeyFileError):
             raise
@@ -161,14 +121,13 @@ def parse_key(text: str):
     return key
 
 
-def _build(scheme: str, role: str, fields: dict[str, str]):
+def _build(scheme: Scheme, role: str, fields: dict[str, str]):
     if role == "public":
         n = _int(fields, "n")
         p = _int(fields, "p")
         s = _seq(fields, "s")
         u = _seq(fields, "u")
-        cls = AkleylekPublicKey if scheme == "original" else ModifiedPublicKey
-        return cls(n=n, p=p, s=s, u=u)
+        return scheme.public_key(n=n, p=p, s=s, u=u)
     if role == "secret":
         n = _int(fields, "n")
         p = _int(fields, "p")
@@ -176,19 +135,15 @@ def _build(scheme: str, role: str, fields: dict[str, str]):
         y = _int(fields, "y")
         x = _int(fields, "x")
         k = _int(fields, "k")
-        if scheme == "original":
-            a = _seq(fields, "a")
-            if len(a) != n:
-                raise KeyFileError("sequence length does not match n")
-            return AkleylekSecretKey(p=p, g=g, y=y, x=x, k=k, a=SuperIncreasingSeq(a))
-        primes = _seq(fields, "primes")
-        if len(primes) != n:
-            raise KeyFileError("prime count does not match n")
-        return ModifiedSecretKey(p=p, g=g, y=y, x=x, k=k, primes=PrimeSequence(primes))
+        terms = _seq(fields, scheme.sequence_field)
+        if len(terms) != n:
+            raise KeyFileError("sequence length does not match n")
+        seq = {scheme.sequence_field: scheme.sequence(terms)}
+        return scheme.secret_key(p=p, g=g, y=y, x=x, k=k, **seq)
     if role == "params":
-        terms = _seq(fields, "a" if scheme == "original" else "primes")
+        terms = _seq(fields, scheme.sequence_field)
         return KeyParams(
-            scheme=scheme,
+            scheme=scheme.name,
             p=_int(fields, "p"),
             g=_int(fields, "g"),
             x=_int(fields, "x"),
@@ -208,12 +163,15 @@ def load_key(path):
         return parse_key(fh.read())
 
 
+_CIPHERTEXTS = {
+    len(dataclass_fields(scheme.ciphertext)): scheme.ciphertext for scheme in SCHEMES.values()
+}
+
+
 def ciphertext_to_text(ct) -> str:
-    if isinstance(ct, AkleylekCiphertext):
-        return f"{ct.c1} {ct.c2}"
-    if isinstance(ct, ModifiedCiphertext):
-        return f"{ct.c1_prime} {ct.c1_dprime} {ct.c2}"
-    raise KeyFileError(f"cannot serialize {type(ct).__name__}")
+    if type(ct) not in _CIPHERTEXTS.values():
+        raise KeyFileError(f"cannot serialize {type(ct).__name__}")
+    return " ".join(str(v) for v in astuple(ct))
 
 
 def ciphertext_from_text(text: str):
@@ -223,8 +181,9 @@ def ciphertext_from_text(text: str):
         values = [int(tok) for tok in tokens]
     except ValueError:
         raise KeyFileError(f"ciphertext tokens must be decimal integers: {text!r}") from None
-    if len(values) == 2:
-        return AkleylekCiphertext(*values)
-    if len(values) == 3:
-        return ModifiedCiphertext(*values)
-    raise KeyFileError(f"expected 2 or 3 ciphertext components, got {len(values)}")
+    if len(values) not in _CIPHERTEXTS:
+        raise KeyFileError(f"expected 2 or 3 ciphertext components, got {len(values)}")
+    try:
+        return _CIPHERTEXTS[len(values)](*values)
+    except MalformedCiphertext as exc:
+        raise KeyFileError(str(exc)) from None

@@ -24,6 +24,7 @@ from .numtheory import (
     gen_safe_prime,
     is_probable_prime,
     mod_inv,
+    solve_coprime_subset_product,
 )
 
 
@@ -232,8 +233,7 @@ def recover_randomness(
     d = c1_dprime * mod_inv(c1x, sk.p) % sk.p
     if d == 0:
         raise MalformedCiphertext("C1'' shares a factor with the modulus")
-    bits = tuple(1 if d % pi == 0 else 0 for pi in sk.primes)
-    r_hat = BitVector(bits)
+    r_hat, _ = solve_coprime_subset_product(sk.primes, d)
     return r_hat, r_hat.weight
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "SuperIncreasingSeq",
     "PrimeSequence",
     "SafePrimeGroup",
-    "mod_pow",
     "mod_inv",
     "gcd",
     "is_probable_prime",
@@ -199,15 +198,6 @@ class SafePrimeGroup:
             raise ValueError("generator out of range")
         if pow(self.g, 2, self.p) == 1 or pow(self.g, self.q, self.p) == 1:
             raise ValueError("g does not generate the full group")
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square and multiply (via the builtin)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError("exponent must be non-negative; use mod_inv for inverses")
-    return pow(base, exp, modulus)
 
 
 def mod_inv(a: int, modulus: int) -> int:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from knaplab import akleylek, attacks, modified
+from knaplab import akleylek, attacks, games, modified
 from knaplab.errors import MalformedCiphertext, ParameterError
 from knaplab.numtheory import BitVector, binomial, entropy_bound
 
@@ -38,6 +38,29 @@ def test_recover_hamming_weight_rejects_non_powers(toy_keypair):
         attacks.recover_hamming_weight(pub, 105)
     with pytest.raises(MalformedCiphertext):
         attacks.recover_hamming_weight(pub, 104**6)
+
+
+def test_recover_hamming_weight_rejects_weight_zero(toy_keypair):
+    pub, _ = toy_keypair
+    mod_pub, _ = modified.keygen(6, 6, random.Random(3))
+    for pk in (pub, mod_pub):
+        with pytest.raises(MalformedCiphertext):
+            attacks.recover_hamming_weight(pk, 1)  # s^0: no encryption produces it
+
+
+@pytest.mark.parametrize(
+    "attack", [attacks.exhaustive_subset_attack, attacks.mitm_subset_attack]
+)
+@pytest.mark.parametrize("key_scheme", ["original", "modified"])
+def test_attacks_refuse_a_ciphertext_of_the_other_scheme(attack, key_scheme, toy_keypair):
+    if key_scheme == "original":
+        pk, _ = toy_keypair
+        ct = modified.ModifiedCiphertext(pk.s_value, pk.u[0], 5)
+    else:
+        pk, _ = modified.keygen(6, 6, random.Random(3))
+        ct = akleylek.AkleylekCiphertext(pk.s_value, pk.u[0])
+    with pytest.raises(ParameterError):
+        attack(pk, ct)
 
 
 def test_exhaustive_attack_on_toy_ciphertext(toy_keypair):
@@ -187,21 +210,7 @@ def test_deterministic_distinguisher_reads_the_challenge(toy_keypair):
     pub, _ = toy_keypair
     m0 = BitVector.from_string("01001")
     m1 = BitVector.from_string("00110")
-    assert attacks.deterministic_distinguisher(pub, m0, m1, akleylek.encrypt(pub, m0)) == 0
-    assert attacks.deterministic_distinguisher(pub, m0, m1, akleylek.encrypt(pub, m1)) == 1
-
-
-def test_deterministic_distinguisher_always_wins_against_original():
-    rng = random.Random(99)
-    pub, _ = akleylek.keygen(8, 72, rng)
-    wins = 0
-    trials = 200
-    for _ in range(trials):
-        m0 = BitVector.from_int(rng.randrange(1, 256), 8)
-        m1 = BitVector.from_int(rng.randrange(1, 256), 8)
-        while m1 == m0:
-            m1 = BitVector.from_int(rng.randrange(1, 256), 8)
-        b = rng.getrandbits(1)
-        challenge = akleylek.encrypt(pub, (m0, m1)[b])
-        wins += attacks.deterministic_distinguisher(pub, m0, m1, challenge) == b
-    assert wins == trials
+    adversary = games.distinguisher_adversary(games.original_game_scheme(n=5))
+    rng = random.Random(0)
+    assert adversary.guess(pub, akleylek.encrypt(pub, m0), (m0, m1), None, rng) == 0
+    assert adversary.guess(pub, akleylek.encrypt(pub, m1), (m0, m1), None, rng) == 1

@@ -4,6 +4,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knaplab import akleylek, cli, keyfile, modified
 from knaplab.keyfile import KeyFileError
@@ -80,6 +82,20 @@ def test_ciphertext_text_round_trip():
         keyfile.ciphertext_from_text("1 2 3 4")
     with pytest.raises(KeyFileError):
         keyfile.ciphertext_from_text("one two")
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.integers(), max_size=4).map(lambda vs: " ".join(map(str, vs))),
+    )
+)
+def test_ciphertext_from_text_raises_only_keyfile_error(text):
+    try:
+        ct = keyfile.ciphertext_from_text(text)
+    except KeyFileError:
+        return
+    assert keyfile.ciphertext_from_text(keyfile.ciphertext_to_text(ct)) == ct
 
 
 # --- CLI -----------------------------------------------------------------------

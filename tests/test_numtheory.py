@@ -21,20 +21,12 @@ from knaplab.numtheory import (
     gen_superincreasing,
     is_probable_prime,
     mod_inv,
-    mod_pow,
     power_index,
     solve_coprime_subset_product,
     solve_superincreasing_subset_sum,
 )
 
 # --- independent oracles ---------------------------------------------------
-
-
-def naive_mod_pow(base, exp, modulus):
-    out = 1 % modulus
-    for _ in range(exp):
-        out = out * base % modulus
-    return out
 
 
 def extended_euclid(a, b):
@@ -107,29 +99,6 @@ prime_seqs = st.sets(st.sampled_from(_PRIME_POOL), min_size=1, max_size=10).map(
 
 
 # --- modular arithmetic ------------------------------------------------------
-
-
-def test_mod_pow_known_values():
-    assert mod_pow(2, 1500, 2579) == 862
-    assert mod_pow(2, 348, 2579) == 104
-    assert mod_pow(7, 0, 11) == 1
-    assert mod_pow(0, 0, 5) == 1
-
-
-def test_mod_pow_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-
-
-def test_mod_pow_matches_naive_on_random_inputs():
-    rng = random.Random(101)
-    for _ in range(10_000):
-        base = rng.randrange(0, 1000)
-        exp = rng.randrange(0, 64)
-        modulus = rng.randrange(2, 1000)
-        assert mod_pow(base, exp, modulus) == naive_mod_pow(base, exp, modulus)
 
 
 def test_mod_inv_known_values():
