@@ -13,6 +13,7 @@ from dataclasses import astuple, dataclass
 from dataclasses import fields as dataclass_fields
 
 from .errors import MalformedCiphertext
+from .numtheory import SafePrimeGroup
 from .schemes import SCHEMES, Scheme
 
 FORMAT_VERSION = 1
@@ -122,13 +123,20 @@ def parse_key(text: str):
 
 
 def _build(scheme: Scheme, role: str, fields: dict[str, str]):
+    """The key or parameters a file describes: the trust boundary for key material.
+
+    A scheme that certifies its group does so here, once per key, through
+    the generator the key is built on: g for a secret key, and s = g^k for a
+    public one (k is coprime to p - 1, so s generates the group too).
+    """
     if role == "public":
         n = _int(fields, "n")
         p = _int(fields, "p")
         s = _seq(fields, "s")
         u = _seq(fields, "u")
-        return scheme.public_key(n=n, p=p, s=s, u=u)
-    if role == "secret":
+        key = scheme.public_key(n=n, p=p, s=s, u=u)
+        generator = key.s_value
+    elif role == "secret":
         n = _int(fields, "n")
         p = _int(fields, "p")
         g = _int(fields, "g")
@@ -139,8 +147,9 @@ def _build(scheme: Scheme, role: str, fields: dict[str, str]):
         if len(terms) != n:
             raise KeyFileError("sequence length does not match n")
         seq = {scheme.sequence_field: scheme.sequence(terms)}
-        return scheme.secret_key(p=p, g=g, y=y, x=x, k=k, **seq)
-    if role == "params":
+        key = scheme.secret_key(p=p, g=g, y=y, x=x, k=k, **seq)
+        generator = g
+    elif role == "params":
         terms = _seq(fields, scheme.sequence_field)
         return KeyParams(
             scheme=scheme.name,
@@ -150,7 +159,11 @@ def _build(scheme: Scheme, role: str, fields: dict[str, str]):
             k=_int(fields, "k"),
             terms=terms,
         )
-    raise KeyFileError(f"unknown role {role!r}")
+    else:
+        raise KeyFileError(f"unknown role {role!r}")
+    if scheme.certifies_group:
+        SafePrimeGroup(key.p, key.q, generator)
+    return key
 
 
 def save_key(path, key) -> None:

@@ -5,14 +5,14 @@ pairwise-coprime primes (so the receiver's subset problem has a unique,
 divisibility-checkable answer), ciphertext components are reduced mod p, and
 the message rides in a separate component C2 = (m + h)^r' keyed by the
 encryption randomness r rather than being the knapsack payload itself.
-Decryption first recovers r from C1, then re-derives everything an honest
-encryptor would have produced and rejects on mismatch.
+Decryption first recovers r from C1, then re-derives C1 as an honest
+encryptor would have produced it and rejects on mismatch.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd, prod
 
@@ -20,12 +20,16 @@ from .errors import MalformedCiphertext, ParameterError
 from .numtheory import (
     BitVector,
     PrimeSequence,
+    SafePrimeGroup,
     gen_prime_sequence,
     gen_safe_prime,
-    is_probable_prime,
     mod_inv,
     solve_coprime_subset_product,
 )
+
+# Nothing here tests primality any more (SafePrimeGroup certifies), but the
+# name stays: perfbench/spans.py wraps knaplab.modified.is_probable_prime.
+from .numtheory import is_probable_prime  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,6 @@ class ModifiedPublicKey:
         for v in (*self.s, *self.u):
             if not 1 <= v < self.p:
                 raise ParameterError("key components must lie in [1, p)")
-        q = (self.p - 1) // 2
-        if self.p != 2 * q + 1 or not is_probable_prime(self.p) or not is_probable_prime(q):
-            raise ParameterError("modulus must be a safe prime")
 
     @property
     def q(self) -> int:
@@ -70,6 +71,9 @@ class ModifiedSecretKey:
     x: int
     k: int
     primes: PrimeSequence
+    # Derived once at construction; left out of equality, repr and the key file.
+    s_value: int = field(init=False, repr=False, compare=False)  # g^k, every public s_i
+    mask: int = field(init=False, repr=False, compare=False)  # y^k, which masks every u_i
 
     def __post_init__(self):
         if self.y != pow(self.g, self.x, self.p):
@@ -81,6 +85,8 @@ class ModifiedSecretKey:
         qbits = ((self.p - 1) // 2).bit_length()
         if self.primes.n >= qbits - 1:
             raise ParameterError("n must stay below bitlen(q) - 1 so r' < q")
+        object.__setattr__(self, "s_value", pow(self.g, self.k, self.p))
+        object.__setattr__(self, "mask", pow(self.y, self.k, self.p))
 
     @property
     def n(self) -> int:
@@ -89,10 +95,6 @@ class ModifiedSecretKey:
     @property
     def q(self) -> int:
         return (self.p - 1) // 2
-
-    @property
-    def s_value(self) -> int:
-        return pow(self.g, self.k, self.p)
 
 
 @dataclass(frozen=True)
@@ -167,20 +169,16 @@ def keygen(
 def keypair_from_params(
     p: int, g: int, x: int, k: int, prime_terms
 ) -> tuple[ModifiedPublicKey, ModifiedSecretKey]:
-    from .numtheory import SafePrimeGroup
-
     group = SafePrimeGroup(p, (p - 1) // 2, g)
     return _assemble(group, x, k, PrimeSequence(tuple(prime_terms)))
 
 
-def _assemble(group, x, k, primes):
+def _assemble(group: SafePrimeGroup, x, k, primes):
+    """Both keys over an already-certified group; no primality test is repeated."""
     p, g = group.p, group.g
-    y = pow(g, x, p)
-    s = pow(g, k, p)
-    yk = pow(y, k, p)
-    u = tuple(yk * pi % p for pi in primes)
-    pub = ModifiedPublicKey(n=primes.n, p=p, s=(s,) * primes.n, u=u)
-    sec = ModifiedSecretKey(p=p, g=g, y=y, x=x, k=k, primes=primes)
+    sec = ModifiedSecretKey(p=p, g=g, y=pow(g, x, p), x=x, k=k, primes=primes)
+    u = tuple(sec.mask * pi % p for pi in primes)
+    pub = ModifiedPublicKey(n=primes.n, p=p, s=(sec.s_value,) * primes.n, u=u)
     return pub, sec
 
 
@@ -238,11 +236,14 @@ def recover_randomness(
 
 
 def decrypt(sk: ModifiedSecretKey, ct: ModifiedCiphertext) -> DecryptOutcome:
-    """Recover r from C1, cross-check both ciphertext halves, then unblind m.
+    """Recover r from C1, re-derive C1 from it, then unblind m from C2.
 
-    The first consistency check re-derives C1'' from the recovered bits and
-    the secret mask; it is what stops tampering with C1.  The second check
-    re-raises the recovered m + h to r' and compares against C2 as received.
+    The consistency check recomputes both C1 components an honest encryptor
+    would have sent with the recovered r: C1' = s^h and C1'' = (y^k)^h times
+    the selected primes.  It is what stops tampering with C1, including the
+    negation C1' -> p - C1', which leaves C1'^x unchanged when x is even.
+    C2 needs no check of its own: raising to r' permutes the group, so every
+    C2 in [1, p) is the honest C2 of exactly one m + h (see the README).
     """
     p = sk.p
     for v in (ct.c1_prime, ct.c1_dprime, ct.c2):
@@ -255,22 +256,16 @@ def decrypt(sk: ModifiedSecretKey, ct: ModifiedCiphertext) -> DecryptOutcome:
     if r_hat.as_int < 2:
         # honest encryptors never use the integers 0 or 1 as randomness
         return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
-    expected_c1_dprime = (
-        pow(sk.y, sk.k * h_hat, p)
+    if ct.c1_prime != pow(sk.s_value, h_hat, p) or ct.c1_dprime != (
+        pow(sk.mask, h_hat, p)
         * prod((pi for pi, b in zip(sk.primes, r_hat) if b), start=1)
         % p
-    )
-    if ct.c1_dprime != expected_c1_dprime:
+    ):
         return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
-    r_prime = _parity_adjust(r_hat.as_int)
-    try:
-        w = mod_inv(r_prime, p - 1)
-    except ValueError:
-        return DecryptOutcome.reject(RejectReason.MALFORMED)
+    # r' is odd and below the prime q, hence invertible mod p - 1 = 2q
+    w = mod_inv(_parity_adjust(r_hat.as_int), p - 1)
     m_hat = pow(ct.c2, w, p) - h_hat
     if not 1 <= m_hat <= p - sk.n - 1:
         # outside the encryptable range, so no honest ciphertext decodes here
-        return DecryptOutcome.reject(RejectReason.MESSAGE_INCONSISTENT)
-    if ct.c2 != pow(m_hat + h_hat, r_prime, p):
         return DecryptOutcome.reject(RejectReason.MESSAGE_INCONSISTENT)
     return DecryptOutcome.accept(m_hat)

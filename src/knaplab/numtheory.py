@@ -23,6 +23,7 @@ __all__ = [
     "mod_inv",
     "gcd",
     "is_probable_prime",
+    "is_safe_prime",
     "gen_safe_prime",
     "gen_prime_sequence",
     "gen_superincreasing",
@@ -181,6 +182,9 @@ class PrimeSequence:
 class SafePrimeGroup:
     """p = 2q + 1 with q prime, and g generating all of Z_p^*.
 
+    Constructing one certifies the group (see ``is_safe_prime``); keys built
+    from a group, or parsed through one, need no further primality test.
+
     An element of order dividing 2q that is neither a square root of 1 nor a
     q-th root of 1 must have full order 2q, so two exponentiations certify g.
     """
@@ -192,8 +196,8 @@ class SafePrimeGroup:
     def __post_init__(self):
         if self.p != 2 * self.q + 1:
             raise ValueError("p must equal 2q + 1")
-        if not is_probable_prime(self.p) or not is_probable_prime(self.q):
-            raise ValueError("p and q must both be prime")
+        if not is_safe_prime(self.p):
+            raise ValueError("p must be a safe prime")
         if not 1 < self.g < self.p:
             raise ValueError("generator out of range")
         if pow(self.g, 2, self.p) == 1 or pow(self.g, self.q, self.p) == 1:
@@ -243,6 +247,21 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     return True
 
 
+def is_safe_prime(p: int) -> bool:
+    """Whether p = 2q + 1 with q and p prime, at one Miller-Rabin certification.
+
+    q gets the full 40 rounds; p is then proven by Pocklington's criterion
+    (Crandall & Pomerance, *Prime Numbers*, Thm 4.1.3): the prime q divides
+    p - 1 and exceeds sqrt(p) - 1, so the witness 2 proves p prime when
+    2^(p-1) = 1 (mod p) and gcd(2^2 - 1, p) = 1, i.e. 3 does not divide p.
+    Every safe prime passes both, so given q the answer for p is exact.
+    """
+    q = (p - 1) // 2
+    if p != 2 * q + 1 or not is_probable_prime(q):
+        return False
+    return p % 3 != 0 and pow(2, p - 1, p) == 1
+
+
 def _find_generator(p: int, q: int, rng: random.Random) -> int:
     while True:
         g = rng.randrange(2, p - 1)
@@ -264,8 +283,8 @@ def gen_safe_prime(bit_length: int, rng: random.Random, rounds: int = 40) -> Saf
     safe prime above 7) and a window of them is sieved jointly on the q and
     2q+1 lines before Miller-Rabin, which keeps generation fast enough to do
     per-trial key generation in the experiment harnesses.  ``rounds`` caps
-    the search-phase screening; the returned group is always certified at
-    the SafePrimeGroup constructor's full 40 rounds.
+    the search-phase screening; the returned group is always certified by
+    the SafePrimeGroup constructor (40 rounds on q, a Pocklington proof of p).
     """
     if bit_length < 4:
         raise ValueError("bit_length must be >= 4")

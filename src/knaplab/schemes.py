@@ -41,6 +41,7 @@ class Scheme:
     parse_message: Callable  # (CLI text) -> message
     sample_message: Callable  # (pk, rng) -> uniformly drawn valid message
     reduced: bool  # ciphertext components are reduced mod p
+    certifies_group: bool  # parsing a key file certifies its safe-prime group
     attack_target: Callable  # ct -> (C1 = s^h, subset product of the public u_i)
 
     def decrypt(self, sk, ct):
@@ -88,6 +89,7 @@ ORIGINAL = Scheme(
     parse_message=BitVector.from_string,
     sample_message=lambda pk, rng: BitVector.from_int(rng.randrange(1, 1 << pk.n), pk.n),
     reduced=False,
+    certifies_group=False,  # the published scheme trusts its key files
     attack_target=lambda ct: (ct.c1, ct.c2),
 )
 
@@ -104,6 +106,7 @@ MODIFIED = Scheme(
     parse_message=_parse_int,
     sample_message=lambda pk, rng: rng.randrange(1, pk.max_message + 1),
     reduced=True,
+    certifies_group=True,
     attack_target=lambda ct: (ct.c1_prime, ct.c1_dprime),
 )
 

@@ -4,7 +4,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knaplab import akleylek, cli, keyfile, modified
@@ -96,6 +96,110 @@ def test_ciphertext_from_text_raises_only_keyfile_error(text):
     except KeyFileError:
         return
     assert keyfile.ciphertext_from_text(keyfile.ciphertext_to_text(ct)) == ct
+
+
+# --- modified-key trust boundary ------------------------------------------------
+
+_TINY_PRIMES, _TINY_X, _TINY_K = (2, 3), 3, 5
+
+
+def tiny_modified_key_texts(p, g):
+    """Public and secret key files over (p, g), whatever p and g are.
+
+    The files are written field by field, so no key constructor sees the
+    group before the parser does; certifying it is the parser's job.
+    """
+    y, s = pow(g, _TINY_X, p), pow(g, _TINY_K, p)
+    mask = pow(y, _TINY_K, p)
+
+    def hexes(vals):
+        return ",".join(format(v, "x") for v in vals)
+
+    head = [("n", hexes([len(_TINY_PRIMES)])), ("p", hexes([p]))]
+    pub = [("s", hexes([s] * len(_TINY_PRIMES))), ("u", hexes(mask * pi % p for pi in _TINY_PRIMES))]
+    sec = [(name, hexes([v])) for name, v in zip("gyxk", (g, y, _TINY_X, _TINY_K))]
+    sec.append(("primes", hexes(_TINY_PRIMES)))
+    return (
+        keyfile._emit("modified", "public", head + pub),
+        keyfile._emit("modified", "secret", head + sec),
+    )
+
+
+BAD_GROUPS = {
+    "q-composite": (19, 2),  # 19 is prime, but q = 9 is not
+    "p-composite": (35, 2),  # q = 17 is prime, 2^34 = 9 (mod 35)
+    "p-divisible-by-3": (27, 2),  # q = 13 is prime
+    "not-a-generator": (23, 2),  # 2 has order 11 mod 23, and so has s = 2^5
+}
+
+
+def test_tiny_modified_keys_over_a_good_group_parse_and_round_trip(tmp_path, capsys):
+    pub_text, sec_text = tiny_modified_key_texts(23, 5)
+    assert keyfile.serialize_key(keyfile.parse_key(pub_text)) == pub_text
+    assert keyfile.serialize_key(keyfile.parse_key(sec_text)) == sec_text
+    pub, sec = tmp_path / "good.pub", tmp_path / "good.sec"
+    pub.write_text(pub_text)
+    sec.write_text(sec_text)
+    assert cli.main(["encrypt", "--key", str(pub), "--message", "17", "--seed", "1"]) == 0
+    ct_text = capsys.readouterr().out.strip()
+    assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", ct_text]) == 0
+    assert capsys.readouterr().out.strip() == "17"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GROUPS))
+def test_modified_key_files_over_a_bad_group_are_refused(case, tmp_path, capsys):
+    pub_text, sec_text = tiny_modified_key_texts(*BAD_GROUPS[case])
+    for text in (pub_text, sec_text):
+        with pytest.raises(KeyFileError, match="safe prime|generate"):
+            keyfile.parse_key(text)
+    pub, sec = tmp_path / "bad.pub", tmp_path / "bad.sec"
+    pub.write_text(pub_text)
+    sec.write_text(sec_text)
+    assert cli.main(["encrypt", "--key", str(pub), "--message", "5", "--seed", "1"]) == 1
+    assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", "1 2 3"]) == 1
+    assert "invalid key material" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_modified_key_fields():
+    pub, sec = modified.keygen(6, 6, random.Random(5))
+    return [keyfile._parse_fields(keyfile.serialize_key(key)) for key in (pub, sec)]
+
+
+hostile_ints = st.one_of(
+    st.sampled_from([0, 1, -1, 2]),
+    st.integers(max_value=-2),
+    st.integers(min_value=0, max_value=2**64).map(lambda v: 2 * v),
+    st.integers(min_value=2**256, max_value=2**2048),
+    st.integers(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_key_raises_only_keyfile_error_on_hostile_modified_keys(
+    small_modified_key_fields, data
+):
+    fields = dict(data.draw(st.sampled_from(small_modified_key_fields)))
+    name = data.draw(st.sampled_from(sorted(set(fields) - {"version", "scheme", "role"})))
+    if "," in fields[name]:  # a sequence: wrong length, or hostile entries
+        items = fields[name].split(",")
+        values = data.draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=len(items) - 1).map(lambda j: items[:j]),
+                st.just(items + items[:1]),
+                st.lists(hostile_ints.map(lambda v: format(v, "x")), max_size=2 * len(items)),
+            )
+        )
+        fields[name] = ",".join(values)
+    else:
+        fields[name] = format(data.draw(hostile_ints), "x")
+    text = "".join(f"{k}={v}\n" for k, v in fields.items())
+    try:
+        key = keyfile.parse_key(text)
+    except KeyFileError:
+        return
+    assert keyfile.parse_key(keyfile.serialize_key(key)) == key
 
 
 # --- CLI -----------------------------------------------------------------------

@@ -12,8 +12,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knaplab import modified
+from knaplab import games, modified
 from knaplab.errors import ParameterError
 from knaplab.modified import (
     DecryptOutcome,
@@ -26,6 +28,7 @@ from knaplab.modified import (
     recover_randomness,
 )
 from knaplab.numtheory import BitVector
+from knaplab.schemes import MODIFIED
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +237,30 @@ def test_c1_dprime_substitution_is_rejected(keypair):
         )
 
 
+def test_c1_prime_negation_is_rejected():
+    # With x even, (p - C1')^x = C1'^x, so the negated C1' strips to the same
+    # d and the same r; only comparing C1' itself with s^h tells them apart.
+    # Without that comparison a decryption oracle would answer the query
+    # with the challenge message.
+    even_x = 0
+    for seed in range(40):
+        pub, sec = keygen(16, 16, random.Random(seed))
+        even_x += sec.x % 2 == 0
+        rng = random.Random(1000 + seed)
+        m = rng.randrange(1, pub.max_message + 1)
+        ct = encrypt(pub, m, rng)
+        negated = ModifiedCiphertext(pub.p - ct.c1_prime, ct.c1_dprime, ct.c2)
+        out = decrypt(sec, negated)
+        assert not out.accepted, seed
+        assert out.reason is RejectReason.RANDOMNESS_INCONSISTENT, seed
+        oracle = games.DecryptionOracle(MODIFIED.decrypt, sec)
+        oracle.set_challenge(ct)
+        assert oracle.query(negated) is None
+        assert oracle.query(encrypt(pub, m, rng)) == m
+        assert oracle.refused == 0 and oracle.rejections == 1
+    assert even_x >= 10  # the keys the negation used to fool are in the sample
+
+
 def test_c2_substitution_decrypts_to_the_root_message(keypair):
     # A replaced C2 is indistinguishable from an honest encryption of the
     # message C2^w - h under the same randomness, so decryption accepts it
@@ -315,3 +342,36 @@ def test_keypair_from_params_round_trip(keypair):
     pub, sec = keypair
     pub2, sec2 = modified.keypair_from_params(sec.p, sec.g, sec.x, sec.k, sec.primes.primes)
     assert pub2 == pub and sec2 == sec
+
+
+key_sizes_seeds_and_randomness = st.integers(min_value=2, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=2, max_value=(1 << n) - 1),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key_sizes_seeds_and_randomness)
+def test_parity_adjusted_randomness_is_odd_below_q_and_invertible(n_seed_r):
+    # why decrypt needs no failure branch around mod_inv(r', p - 1)
+    n, seed, r_int = n_seed_r
+    _, sec = keygen(n, 8, random.Random(seed))
+    r_prime = modified._parity_adjust(r_int)
+    assert r_prime % 2 == 1 and r_prime < sec.q
+    assert math.gcd(r_prime, sec.p - 1) == 1
+    assert r_prime * modified.mod_inv(r_prime, sec.p - 1) % (sec.p - 1) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(key_sizes_seeds_and_randomness, st.data())
+def test_raising_to_r_prime_undoes_the_root_for_every_c2(n_seed_r, data):
+    # why decrypt no longer re-encrypts: C2 == (m-hat + h)^r' always holds
+    n, seed, r_int = n_seed_r
+    _, sec = keygen(n, 8, random.Random(seed))
+    c2 = data.draw(st.integers(min_value=1, max_value=sec.p - 1))
+    r_prime = modified._parity_adjust(r_int)
+    w = pow(r_prime, -1, sec.p - 1)
+    assert pow(pow(c2, w, sec.p), r_prime, sec.p) == c2

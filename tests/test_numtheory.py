@@ -20,6 +20,7 @@ from knaplab.numtheory import (
     gen_safe_prime,
     gen_superincreasing,
     is_probable_prime,
+    is_safe_prime,
     mod_inv,
     power_index,
     solve_coprime_subset_product,
@@ -159,6 +160,40 @@ def test_semiprime_of_32_bit_primes_is_composite():
             if trial_division_is_prime(q) and q != p:
                 break
         assert not is_probable_prime(p * q)
+
+
+def test_is_safe_prime_agrees_with_miller_rabin_below_two_million():
+    # Pocklington on p given prime q, against 40-round MR and an exact sieve
+    limit = 2 * 10**6
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+    safe = 0
+    for q in range(2, limit // 2):
+        if not flags[q] or 2 * q + 1 >= limit:
+            continue
+        p = 2 * q + 1
+        assert is_safe_prime(p) == is_probable_prime(p, 40) == bool(flags[p]), p
+        safe += flags[p]
+    assert safe > 3000  # the agreement is not vacuous on the prime side
+    assert not any(is_safe_prime(p) for p in (-7, -1, 0, 1, 2, 3, 4, 19, 27, 35))
+
+
+def test_is_safe_prime_agrees_with_miller_rabin_at_250_bits():
+    rng = random.Random(2003186)
+    checked = 0
+    while checked < 200:
+        q = rng.randrange(1 << 249, 1 << 250) | 1
+        if not is_probable_prime(q):
+            continue
+        assert is_safe_prime(2 * q + 1) == is_probable_prime(2 * q + 1, 40), q
+        checked += 1
+    for seed in range(3):
+        group = gen_safe_prime(251, random.Random(seed))
+        assert is_safe_prime(group.p) and is_probable_prime(group.p, 40)
+        assert not is_safe_prime(group.p + 2)  # (p + 1) / 2 = q + 1 is even
 
 
 # --- generators ---------------------------------------------------------------
@@ -373,6 +408,10 @@ def test_safe_prime_group_validates():
         SafePrimeGroup(2579, 1289, 2578)  # order 2
     with pytest.raises(ValueError):
         SafePrimeGroup(13, 6, 2)  # 6 not prime
+    with pytest.raises(ValueError):
+        SafePrimeGroup(35, 17, 2)  # 17 prime, 35 composite
+    with pytest.raises(ValueError):
+        SafePrimeGroup(27, 13, 2)  # 3 divides p
 
 
 def test_power_index():
