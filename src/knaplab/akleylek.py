@@ -225,6 +225,8 @@ def decrypt_all(
             nxt = partial * terms[j]
             if nxt > d:
                 break  # terms ascend, so every later branch overshoots too
+            if d % nxt:
+                continue  # a partial product that does not divide d cannot complete
             chosen.append(j)
             walk(j + 1, chosen, nxt)
             chosen.pop()

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
+from math import prod
 
 from .errors import MalformedCiphertext, ParameterError
 from .numtheory import (
@@ -65,22 +67,15 @@ def recover_hamming_weight(pk, c1: int) -> int:
     raise MalformedCiphertext(f"C1 is not s^h for any h in [1, {n}]")
 
 
-def _weight_and_target(pk, ct) -> tuple[int, int, int | None]:
-    """(h, the product to match, the modulus it is reduced by or None)."""
+def _weight_and_target(pk, ct) -> tuple[int, int, bool]:
+    """(h, the product to match, whether that product is reduced mod p)."""
     scheme = scheme_of(pk)
     if type(ct) is not scheme.ciphertext:
         raise ParameterError("ciphertext does not belong to this key")
     c1, target = scheme.attack_target(ct)
-    return recover_hamming_weight(pk, c1), target, pk.p if scheme.reduced else None
-
-
-def _subset_products(values, indices, weight_cap):
-    """All (index-tuple, product) over the given positions, weight <= cap."""
-    out = [((), 1)]
-    for j in indices:
-        extend = [(idx + (j,), pr * values[j]) for idx, pr in out if len(idx) < weight_cap]
-        out.extend(extend)
-    return out
+    if scheme.reduced and not 1 <= target < pk.p:
+        raise MalformedCiphertext("the subset-product component must lie in [1, p)")
+    return recover_hamming_weight(pk, c1), target, scheme.reduced
 
 
 def exhaustive_subset_attack(pk, ct) -> AttackReport:
@@ -90,39 +85,60 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
     is returned, since ambiguous decryptions are part of what the lab
     measures.  subsets_examined counts fully-built weight-h products, so
     pruning only ever lowers it below n-choose-h.
+
+    An unreduced product only grows as factors join it, so the walk takes
+    the u_i in ascending order and ends a loop at the first factor that
+    overshoots the target: every later sibling overshoots too.  A subset is
+    examined iff its full product is at most the target, whatever the
+    order, so the count equals that of an index-order walk.
     """
     start = time.perf_counter()
-    h, target, modulus = _weight_and_target(pk, ct)
-    n, u = pk.n, pk.u
-    found: list[BitVector] = []
+    h, target, reduced = _weight_and_target(pk, ct)
+    n, p = pk.n, pk.p
+    order = sorted(range(n), key=pk.u.__getitem__)
+    u = [pk.u[j] for j in order]
+    bit = [1 << (n - 1 - j) for j in order]  # masks are BitVector.from_int values
+    found: list[int] = []
     examined = 0
 
-    def walk(idx: int, chosen: tuple[int, ...], partial: int):
+    def walk(first: int, depth: int, mask: int, partial: int):
         nonlocal examined
-        if len(chosen) == h:
-            examined += 1
-            if partial == target:
-                found.append(BitVector.from_indices(n, chosen))
+        if depth == h - 1:  # the last factor: each step builds a full subset
+            for i in range(first, n):
+                nxt = partial * u[i]
+                if reduced:
+                    nxt %= p
+                elif nxt > target:
+                    break
+                examined += 1
+                if nxt == target:
+                    found.append(mask | bit[i])
             return
-        if n - idx < h - len(chosen):
-            return
-        for j in range(idx, n):
-            nxt = partial * u[j]
-            if modulus is None:
-                if nxt > target:
-                    continue  # unreduced products only grow; branch is dead
-                walk(j + 1, chosen + (j,), nxt)
-            else:
-                walk(j + 1, chosen + (j,), nxt % modulus)
+        for i in range(first, n - (h - 1 - depth)):
+            nxt = partial * u[i]
+            if reduced:
+                nxt %= p
+            elif nxt > target:
+                break
+            walk(i + 1, depth + 1, mask | bit[i], nxt)
 
-    walk(0, (), 1)
+    walk(0, 0, 0, 1)
     return AttackReport(
         recovered_h=h,
-        candidates=tuple(sorted(found)),
+        candidates=tuple(BitVector.from_int(mask, n) for mask in sorted(found)),
         subsets_examined=examined,
         predicted_bound=entropy_bound(n, h),
         elapsed=time.perf_counter() - start,
     )
+
+
+def _products_by_weight(factors, bits, p: int, first: int, weight_cap: int):
+    """Per weight w <= cap, every (subset mask, first * product of its factors mod p)."""
+    levels: list[list[tuple[int, int]]] = [[(0, first % p)]] + [[] for _ in range(weight_cap)]
+    for factor, bit in zip(factors, bits):
+        for w in range(weight_cap, 0, -1):  # descending: level w-1 is still without bit
+            levels[w].extend((mask | bit, pr * factor % p) for mask, pr in levels[w - 1])
+    return levels
 
 
 def mitm_subset_attack(
@@ -132,11 +148,15 @@ def mitm_subset_attack(
     *,
     max_list_entries: int = DEFAULT_MAX_LIST_ENTRIES,
 ) -> AttackReport:
-    """Meet-in-the-middle over a left/right index split.
+    """Meet-in-the-middle over a left/right index split, matched mod p.
 
-    Builds every subset product over indices [0, split) and [split, n), then
-    matches pairs whose combined product hits the target (by exact division
-    for unreduced ciphertexts, by modular inversion for reduced ones).  The
+    The left list holds every subset product over indices [0, split) mod p,
+    keyed by weight.  The right list starts at the target and multiplies in
+    the precomputed inverses of u_split..u_(n-1), so a right subset R of
+    weight w holds target / prod(u_R) mod p, which is exactly the product a
+    left subset of weight h - w must have.  For an unreduced target the
+    congruence is only a filter: every exact solution satisfies it, and
+    each hit is confirmed by its integer product before it counts.  The
     candidate set equals the exhaustive attack's; only the cost profile
     changes.  subsets_examined counts list entries, not pairs.
     """
@@ -148,29 +168,33 @@ def mitm_subset_attack(
         raise ParameterError(f"split must lie in [1, {n - 1}]")
     if (1 << split) + (1 << (n - split)) > max_list_entries:
         raise ParameterError("split exceeds the configured memory cap")
-    h, target, modulus = _weight_and_target(pk, ct)
-    u = pk.u
-    left = _subset_products(u, range(split), h)
-    right = _subset_products(u, range(split, n), h)
-    by_product: dict[int, list[tuple[int, ...]]] = {}
-    for idx, pr in left:
-        key = pr if modulus is None else pr % modulus
-        by_product.setdefault(key, []).append(idx)
+    h, target, reduced = _weight_and_target(pk, ct)
+    p, u = pk.p, pk.u
+    try:
+        inverses = [mod_inv(u[j], p) for j in range(split, n)]
+    except ValueError:
+        raise ParameterError("a public u_i is not invertible mod p") from None
+    bits = [1 << (n - 1 - j) for j in range(n)]  # masks are BitVector.from_int values
+    left = _products_by_weight(u[:split], bits[:split], p, 1, h)
+    right = _products_by_weight(inverses, bits[split:], p, target, h)
+    by_weight: list[dict[int, list[int]]] = []
+    for level in left:
+        by_product: dict[int, list[int]] = {}
+        for mask, pr in level:
+            by_product.setdefault(pr, []).append(mask)
+        by_weight.append(by_product)
     found = []
-    for idx, pr in right:
-        if modulus is None:
-            if target % pr != 0:
-                continue
-            want = target // pr
-        else:
-            want = target * mod_inv(pr % modulus, modulus) % modulus
-        for lidx in by_product.get(want, ()):
-            if len(lidx) + len(idx) == h:
-                found.append(BitVector.from_indices(n, lidx + idx))
+    for w, level in enumerate(right):
+        by_product = by_weight[h - w]
+        for rmask, want in level:
+            for lmask in by_product.get(want, ()):
+                m = BitVector.from_int(lmask | rmask, n)
+                if reduced or prod(compress(u, m.bits)) == target:
+                    found.append(m)
     return AttackReport(
         recovered_h=h,
         candidates=tuple(sorted(found)),
-        subsets_examined=len(left) + len(right),
+        subsets_examined=sum(map(len, left)) + sum(map(len, right)),
         predicted_bound=entropy_bound(n, h),
         elapsed=time.perf_counter() - start,
     )

@@ -181,17 +181,43 @@ _CIPHERTEXTS = {
 }
 
 
+# Conversions between int and decimal text shorter than 640 digits are never
+# refused by CPython's int/str digit limit (4300 digits by default), so big
+# values are converted in pieces of at most this many digits.
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def _to_decimal(v: int) -> str:
+    """str(v) for any size of v >= 0."""
+    if v < _PIECE:
+        return str(v)
+    width = v.bit_length() * 3 // 20  # about half of v's digits (log10 2 > 0.3)
+    high, low = divmod(v, 10**width)
+    return _to_decimal(high) + _to_decimal(low).zfill(width)
+
+
+def _from_decimal(token: str) -> int:
+    """int(token) for a token of any length; beyond one piece, ASCII digits only."""
+    if len(token) <= _PIECE_DIGITS:
+        return int(token)
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal integer: {token[:20]}...")
+    width = len(token) // 2
+    return _from_decimal(token[:-width]) * 10**width + _from_decimal(token[-width:])
+
+
 def ciphertext_to_text(ct) -> str:
     if type(ct) not in _CIPHERTEXTS.values():
         raise KeyFileError(f"cannot serialize {type(ct).__name__}")
-    return " ".join(str(v) for v in astuple(ct))
+    return " ".join(_to_decimal(v) for v in astuple(ct))
 
 
 def ciphertext_from_text(text: str):
     """Two decimal tokens parse as an original ciphertext, three as a modified one."""
     tokens = text.split()
     try:
-        values = [int(tok) for tok in tokens]
+        values = [_from_decimal(tok) for tok in tokens]
     except ValueError:
         raise KeyFileError(f"ciphertext tokens must be decimal integers: {text!r}") from None
     if len(values) not in _CIPHERTEXTS:

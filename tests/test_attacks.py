@@ -1,12 +1,14 @@
 """Attack suite: weight recovery, subset searches, and the cost profile."""
 
+import itertools
 import random
+from math import comb, prod
 
 import pytest
 
-from knaplab import akleylek, attacks, games, modified
+from knaplab import akleylek, attacks, cli, games, keyfile, modified
 from knaplab.errors import MalformedCiphertext, ParameterError
-from knaplab.numtheory import BitVector, binomial, entropy_bound
+from knaplab.numtheory import BitVector, binomial, entropy_bound, gen_safe_prime
 
 
 def brute_force_preimages(pk, ct):
@@ -169,6 +171,153 @@ def test_attacks_recover_randomness_of_modified_scheme():
         assert r in exh.candidates
         assert exh.candidates == mitm.candidates
         assert exh.recovered_h == r.weight
+
+
+@pytest.mark.parametrize(
+    "attack", [attacks.exhaustive_subset_attack, attacks.mitm_subset_attack]
+)
+@pytest.mark.parametrize("shift", ["plus-p", "zero"])
+def test_attacks_reject_a_reduced_target_outside_the_group(attack, shift, tmp_path, capsys):
+    pub, _ = modified.keygen(10, 8, random.Random(3))
+    ct = modified.encrypt(pub, 5, random.Random(4))
+    c1_dprime = ct.c1_dprime + pub.p if shift == "plus-p" else 0
+    bad = modified.ModifiedCiphertext(ct.c1_prime, c1_dprime, ct.c2)
+    with pytest.raises(MalformedCiphertext):
+        attack(pub, bad)
+    key = tmp_path / "pub.key"
+    keyfile.save_key(key, pub)
+    strategy = "exhaustive" if attack is attacks.exhaustive_subset_attack else "mitm"
+    argv = ["attack", "--key", str(key), "--strategy", strategy]
+    assert cli.main(argv + ["--ciphertext", keyfile.ciphertext_to_text(bad)]) == 1
+    assert "[1, p)" in capsys.readouterr().err
+
+
+def test_mitm_refuses_a_hand_edited_key_with_a_non_invertible_u():
+    # Original key files are not certified on parse, so p = 15 gets through.
+    text = keyfile._emit("original", "public", [("n", "2"), ("p", "f"), ("s", "2,2"), ("u", "4,3")])
+    pub = keyfile.parse_key(text)
+    ct = akleylek.AkleylekCiphertext(2, 3)
+    assert attacks.exhaustive_subset_attack(pub, ct).candidates == (BitVector((0, 1)),)
+    with pytest.raises(ParameterError):
+        attacks.mitm_subset_attack(pub, ct, split=1)
+
+
+def _with_multiples(rng, values, bound):
+    """values with some entries replaced by c * (an earlier entry), kept below bound.
+
+    One c serves the whole list, so u_j = c * u_i and u_l = c * u_k give
+    the equal-weight collision u_j * u_k = u_i * u_l.
+    """
+    out = list(values)
+    c = rng.randrange(2, 6)
+    for j in rng.sample(range(1, len(out)), len(out) // 2):
+        i = rng.randrange(j)
+        if c * out[i] < bound:
+            out[j] = c * out[i]
+    return out
+
+
+def agreement_instances():
+    """(public key, ciphertext, secret key or None) on small keys of both schemes.
+
+    Covers capacity-enforcing and undersized original keys, sequences and
+    public keys with u_j = c * u_i over the integers (so equal products of
+    one weight recur), and reduced keys with u_j = c * u_i mod p.
+    """
+    rng = random.Random(2024)
+    out = []
+    for trial in range(24):
+        n = rng.randrange(3, 11)
+        kind = trial % 4
+        if kind == 0:
+            pk, sk = akleylek.keygen(n, games.suggested_modulus_bits(n), rng)
+        elif kind == 1:
+            pk, sk = akleylek.keygen(n, rng.randrange(12, 40), rng, enforce_capacity=False)
+        elif kind == 2:
+            group = gen_safe_prime(rng.randrange(16, 40), rng)
+            u = _with_multiples(rng, rng.sample(range(2, 40), n), group.p)
+            pk, sk = akleylek.AkleylekPublicKey(n, group.p, (group.g,) * n, u), None
+        else:
+            group = gen_safe_prime(rng.randrange(10, 20), rng)
+            u = _with_multiples(rng, rng.sample(range(2, group.p), n), 1 << 64)
+            u = [v % group.p or 1 for v in u]
+            pk, sk = modified.ModifiedPublicKey(n, group.p, (group.g,) * n, u), None
+        for _ in range(3):
+            chosen = rng.sample(range(n), rng.randrange(1, n + 1))
+            if kind < 3:
+                ct = akleylek.encrypt(pk, BitVector.from_indices(n, chosen))
+            else:
+                s, p = pk.s_value, pk.p
+                c1 = pow(s, len(chosen), p)
+                ct = modified.ModifiedCiphertext(c1, prod(pk.u[j] for j in chosen) % p, 1)
+            out.append((pk, ct, sk, len(chosen)))
+    # a secret sequence with a_j = c * a_i: {3, 26} and {6, 13} share the product 78
+    pk, sk = akleylek.keypair_from_params(2579, 2, 1500, 348, (2, 3, 6, 13, 26, 53))
+    for chosen in ([1, 4], [2, 3], [0, 5], [0, 1, 2, 3, 4, 5]):
+        out.append((pk, akleylek.encrypt(pk, BitVector.from_indices(6, chosen)), sk, len(chosen)))
+    return out
+
+
+def reference_candidates(values, h, target, p=None):
+    """Every weight-h subset whose product (mod p, when given) equals target."""
+    n = len(values)
+    hits = []
+    for idx in itertools.combinations(range(n), h):
+        product = prod(values[j] for j in idx)
+        if (product if p is None else product % p) == target:
+            hits.append(BitVector.from_indices(n, idx))
+    return tuple(sorted(hits))
+
+
+def test_every_search_agrees_with_a_combinations_reference():
+    for pk, ct, sk, h in agreement_instances():
+        n, reduced = pk.n, isinstance(pk, modified.ModifiedPublicKey)
+        if reduced:
+            target, p = ct.c1_dprime, pk.p
+            assert attacks.recover_hamming_weight(pk, ct.c1_prime) == h
+        else:
+            target, p = ct.c2, None
+        expected = reference_candidates(pk.u, h, target, p)
+        assert expected  # the encrypted subset is always among them
+        exh = attacks.exhaustive_subset_attack(pk, ct)
+        assert exh.candidates == expected
+        if reduced:
+            assert exh.subsets_examined == binomial(n, h)
+        else:
+            within = sum(
+                1 for idx in itertools.combinations(pk.u, h) if prod(idx) <= target
+            )
+            assert exh.subsets_examined == within
+        for split in range(1, n):
+            assert attacks.mitm_subset_attack(pk, ct, split).candidates == expected
+        if sk is not None:
+            d = akleylek.decrypt_d(sk, ct)
+            assert akleylek.decrypt_all(sk, ct) == reference_candidates(sk.a.terms, h, d)
+
+
+def test_mitm_inverts_once_per_right_index_and_lists_every_subset(monkeypatch):
+    calls = []
+
+    def counting_mod_inv(a, modulus):
+        calls.append(a)
+        return pow(a, -1, modulus)
+
+    monkeypatch.setattr(attacks, "mod_inv", counting_mod_inv)
+    rng = random.Random(99)
+    orig_pk, _ = akleylek.keygen(12, games.suggested_modulus_bits(12), rng)
+    mod_pk, _ = modified.keygen(12, 10, rng)
+    for h in (1, 4, 7):
+        r = BitVector.from_indices(12, rng.sample(range(12), h))
+        cts = [(orig_pk, akleylek.encrypt(orig_pk, r))]
+        cts.append((mod_pk, modified.encrypt_with_randomness(mod_pk, 3, r)))
+        for pk, ct in cts:
+            for split in (1, 5, 6, 11):
+                calls.clear()
+                report = attacks.mitm_subset_attack(pk, ct, split)
+                assert r in report.candidates
+                assert len(calls) <= 12 - split
+                listed = sum(comb(split, w) + comb(12 - split, w) for w in range(h + 1))
+                assert report.subsets_examined == listed
 
 
 def test_complexity_profile_regimes():

@@ -1,5 +1,7 @@
 """Key/ciphertext file formats and the command-line surface."""
 
+import dataclasses
+import decimal
 import io
 import random
 
@@ -82,6 +84,24 @@ def test_ciphertext_text_round_trip():
         keyfile.ciphertext_from_text("1 2 3 4")
     with pytest.raises(KeyFileError):
         keyfile.ciphertext_from_text("one two")
+
+
+def test_ciphertext_text_is_plain_decimal_at_any_size():
+    """Components past CPython's 4300-digit int/str limit still travel as decimal."""
+    rng = random.Random(12)
+    sizes = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (1, 1993, 1994, 14284, 14300, 120000)]
+    edges = [10**e + d for e in (599, 600, 4300, 9000) for d in (-1, 0, 1)]
+    values = sizes + edges
+    for c1, c2 in zip(values, reversed(values)):
+        for ct in (akleylek.AkleylekCiphertext(c1, c2), modified.ModifiedCiphertext(c2, c1, c1)):
+            text = keyfile.ciphertext_to_text(ct)
+            # Decimal converts ints without a digit limit, so it is the reference here.
+            assert text.split() == [str(decimal.Decimal(v)) for v in dataclasses.astuple(ct)]
+            assert keyfile.ciphertext_from_text(text) == ct
+    long = "7" * 5000
+    for token in (long + "x", "-" + long, "+" + long, "1_" * 2500, long[:-1] + "٣"):
+        with pytest.raises(KeyFileError):
+            keyfile.ciphertext_from_text(f"{token} 5")
 
 
 @given(
@@ -299,6 +319,22 @@ def test_cli_attack_strategies_agree(toy_files, capsys):
     assert out_exh[1] == cli.BENCH_HEADER
     row = out_exh[2].split(",")
     assert row[0] == "5" and row[1] == "2" and row[2] == "10"
+
+
+def test_cli_round_trip_past_the_int_str_digit_limit(tmp_path, capsys):
+    # C2 multiplies thirty 600-bit u_i: about 5400 decimal digits.
+    pub, sec = tmp_path / "pub.key", tmp_path / "sec.key"
+    argv = ["keygen", "--scheme", "original", "-n", "30", "--modulus-bits", "600", "--seed", "1"]
+    assert cli.main(argv + ["--public-out", str(pub), "--secret-out", str(sec)]) == 0
+    capsys.readouterr()
+    message = "1" * 30
+    assert cli.main(["encrypt", "--key", str(pub), "--message", message]) == 0
+    ct_text = capsys.readouterr().out.strip()
+    assert max(len(tok) for tok in ct_text.split()) > 4300
+    assert cli.main(["decrypt", "--key", str(sec), "--limit", "30", "--ciphertext", ct_text]) == 0
+    assert capsys.readouterr().out.split() == [message]
+    assert cli.main(["attack", "--key", str(pub), "--ciphertext", ct_text]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == message
 
 
 def test_cli_attack_refuses_secret_key(toy_files, capsys):

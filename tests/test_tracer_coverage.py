@@ -9,6 +9,7 @@ Constructing a Tracer looks every target up without installing anything.
 import importlib
 import importlib.util
 import pathlib
+import random
 from types import SimpleNamespace
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -30,3 +31,37 @@ def test_tracer_covers_every_wrapped_knaplab_name():
     assert len(tracer._bindings) == len(spans.TARGETS)
     for owner, attr, original, _ in tracer._bindings:
         assert getattr(owner, attr) is original  # looked up, not installed
+
+
+def test_tracer_taggers_read_every_attack_and_decrypt_all_call(toy_keypair):
+    """The taggers read AttackReport fields and key class names; both must still exist."""
+    spans = load_spans()
+    layers = {layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
+    akleylek, attacks, modified = layers["akleylek"], layers["attacks"], layers["modified"]
+    pub, sec = toy_keypair
+    ct = akleylek.AkleylekCiphertext(10816, 372020)
+    mod_pub, _ = modified.keygen(10, 8, random.Random(3))
+    mod_ct = modified.encrypt(mod_pub, 5, random.Random(4))
+
+    def op():
+        attacks.exhaustive_subset_attack(pub, ct)
+        attacks.mitm_subset_attack(pub, ct)
+        attacks.mitm_subset_attack(mod_pub, mod_ct)
+        akleylek.decrypt_all(sec, ct)
+
+    tracer = spans.Tracer(SimpleNamespace(**layers))
+    tracer.install()
+    try:
+        tracer.op = 0
+        tracer.wrap(op, spans.ROOT)()  # the benchmark's root span around one operation
+    finally:
+        tracer.uninstall()
+    metrics, _ = spans.layer_metrics(tracer.take(), 1)
+    for name in (
+        "attacks.exhaustive_subset_attack.examined_per_call",
+        "attacks.mitm_subset_attack.list_entries_per_call",
+        "akleylek.decrypt_all.candidates_per_call",
+        "attacks.mitm_subset_attack.original.ms_per_call",
+        "attacks.mitm_subset_attack.modified.ms_per_call",
+    ):
+        assert metrics[name] > 0, name
