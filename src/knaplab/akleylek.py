@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from math import prod
 
+from .disguise import DisguisedPublicKey, DisguisedSecretKey, assemble
 from .errors import MalformedCiphertext, ParameterError
 from .numtheory import (
     BitVector,
@@ -24,62 +25,25 @@ from .numtheory import (
     SuperIncreasingSeq,
     gen_safe_prime,
     gen_superincreasing,
-    mod_inv,
     power_index,
 )
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class AkleylekPublicKey:
-    n: int
-    p: int
-    s: tuple[int, ...]
-    u: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-        object.__setattr__(self, "u", tuple(self.u))
-        if self.n < 1 or len(self.s) != self.n or len(self.u) != self.n:
-            raise ParameterError("component count does not match n")
-        if len(set(self.s)) != 1:
-            raise ParameterError("all s components must be equal")
-        for v in (*self.s, *self.u):
-            if not 1 <= v < self.p:
-                raise ParameterError("key components must lie in [1, p)")
-
-    @property
-    def s_value(self) -> int:
-        return self.s[0]
-
+class AkleylekPublicKey(DisguisedPublicKey):
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.s, self.u))
 
 
 @dataclass(frozen=True)
-class AkleylekSecretKey:
-    p: int
-    g: int
-    y: int
-    x: int
-    k: int
+class AkleylekSecretKey(DisguisedSecretKey):
     a: SuperIncreasingSeq
-
-    def __post_init__(self):
-        if not 1 <= self.x <= self.p - 2 or not 1 <= self.k <= self.p - 2:
-            raise ParameterError("exponents must lie in [1, p-2]")
-        if self.y != pow(self.g, self.x, self.p):
-            raise ParameterError("y is not g^x mod p")
 
     @property
     def n(self) -> int:
         return self.a.n
-
-    @property
-    def s_value(self) -> int:
-        return pow(self.g, self.k, self.p)
 
 
 @dataclass(frozen=True)
@@ -139,7 +103,8 @@ def keygen(
     group = gen_safe_prime(modulus_bits, rng)
     if enforce_capacity:
         assert group.p > capacity
-    return _assemble(group, rng.randrange(1, group.p - 1), rng.randrange(1, group.p - 1), a)
+    x, k = rng.randrange(1, group.p - 1), rng.randrange(1, group.p - 1)
+    return assemble(AkleylekPublicKey, AkleylekSecretKey, group, x, k, a)
 
 
 def keypair_from_params(
@@ -147,20 +112,8 @@ def keypair_from_params(
 ) -> tuple[AkleylekPublicKey, AkleylekSecretKey]:
     """Rebuild the key pair from fixed components (fixture keys, test vectors)."""
     group = SafePrimeGroup(p, (p - 1) // 2, g)
-    return _assemble(group, x, k, SuperIncreasingSeq(tuple(a_terms)))
-
-
-def _assemble(group, x, k, a):
-    p, g = group.p, group.g
-    y = pow(g, x, p)
-    s = pow(g, k, p)
-    yk = pow(y, k, p)
-    if any(ai % p == 0 for ai in a.terms):
-        raise ParameterError("sequence terms must be nonzero mod p")
-    u = tuple(yk * ai % p for ai in a.terms)
-    pub = AkleylekPublicKey(n=a.n, p=p, s=(s,) * a.n, u=u)
-    sec = AkleylekSecretKey(p=p, g=g, y=y, x=x, k=k, a=a)
-    return pub, sec
+    a = SuperIncreasingSeq(tuple(a_terms))
+    return assemble(AkleylekPublicKey, AkleylekSecretKey, group, x, k, a)
 
 
 def encrypt(pk: AkleylekPublicKey, m: BitVector) -> AkleylekCiphertext:
@@ -180,10 +133,7 @@ def encrypt(pk: AkleylekPublicKey, m: BitVector) -> AkleylekCiphertext:
 
 def decrypt_d(sk: AkleylekSecretKey, ct: AkleylekCiphertext) -> int:
     """The masked subset product d = C2 * (C1^x)^(-1) mod p."""
-    c1x = pow(ct.c1, sk.x, sk.p)
-    if c1x == 0:
-        raise MalformedCiphertext("C1 shares a factor with the modulus")
-    return ct.c2 * mod_inv(c1x, sk.p) % sk.p
+    return sk.unmask(ct.c1, ct.c2)
 
 
 def decrypt_all(
@@ -253,7 +203,7 @@ def completeness_audit(
     if n > exhaustive_limit:
         raise ParameterError(f"n={n} exceeds the exhaustive scan limit {exhaustive_limit}")
     if pk is not None:
-        expect = tuple(pow(sk.y, sk.k, sk.p) * ai % sk.p for ai in sk.a.terms)
+        expect = tuple(sk.mask * ai % sk.p for ai in sk.a.terms)
         if pk.u != expect or pk.s_value != sk.s_value or pk.p != sk.p:
             raise ParameterError("public key does not match the secret key")
     terms = sk.a.terms

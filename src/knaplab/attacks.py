@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import compress
-from math import prod
+from math import comb, prod
 
 from .errors import MalformedCiphertext, ParameterError
 from .numtheory import (
@@ -158,7 +158,8 @@ def mitm_subset_attack(
     congruence is only a filter: every exact solution satisfies it, and
     each hit is confirmed by its integer product before it counts.  The
     candidate set equals the exhaustive attack's; only the cost profile
-    changes.  subsets_examined counts list entries, not pairs.
+    changes.  subsets_examined counts list entries, not pairs; the lists
+    hold only subsets of weight <= h, and max_list_entries caps that count.
     """
     start = time.perf_counter()
     n = pk.n
@@ -166,9 +167,10 @@ def mitm_subset_attack(
         split = n // 2
     if not 1 <= split < n:
         raise ParameterError(f"split must lie in [1, {n - 1}]")
-    if (1 << split) + (1 << (n - split)) > max_list_entries:
-        raise ParameterError("split exceeds the configured memory cap")
     h, target, reduced = _weight_and_target(pk, ct)
+    entries = sum(comb(split, w) + comb(n - split, w) for w in range(h + 1))
+    if entries > max_list_entries:
+        raise ParameterError("split exceeds the configured memory cap")
     p, u = pk.p, pk.u
     try:
         inverses = [mod_inv(u[j], p) for j in range(split, n)]

@@ -163,16 +163,6 @@ def run_ind_cca2(
     return ExperimentResult(trials=trials, wins=wins, rejections=rejections)
 
 
-def malleation_case1(
-    challenge: ModifiedCiphertext, pk: ModifiedPublicKey, rng: random.Random
-) -> ModifiedCiphertext:
-    """Keep C1, substitute a random C2 (never the challenge's own)."""
-    while True:
-        c2 = rng.randrange(1, pk.p)
-        if c2 != challenge.c2:
-            return ModifiedCiphertext(challenge.c1_prime, challenge.c1_dprime, c2)
-
-
 def malleation_case2(
     challenge: ModifiedCiphertext,
     pk: ModifiedPublicKey,
@@ -239,7 +229,7 @@ def run_malleation_trials(
         oracle = DecryptionOracle(MODIFIED.decrypt, sk)
         oracle.set_challenge(challenge)
         if strategy == "case1":
-            query = malleation_case1(challenge, pk, trial_rng)
+            query = mutate_ciphertext(challenge, "c2", trial_rng, pk.p)
         else:
             query = malleation_case2(
                 challenge,

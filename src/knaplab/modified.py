@@ -12,10 +12,11 @@ encryptor would have produced it and rejects on mismatch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
 
+from .disguise import DisguisedPublicKey, DisguisedSecretKey, assemble
 from .errors import MalformedCiphertext, ParameterError
 from .numtheory import (
     BitVector,
@@ -32,31 +33,10 @@ from .numtheory import (
 from .numtheory import is_probable_prime  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ModifiedPublicKey:
-    n: int
-    p: int
-    s: tuple[int, ...]
-    u: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-        object.__setattr__(self, "u", tuple(self.u))
-        if self.n < 1 or len(self.s) != self.n or len(self.u) != self.n:
-            raise ParameterError("component count does not match n")
-        if len(set(self.s)) != 1:
-            raise ParameterError("all s components must be equal")
-        for v in (*self.s, *self.u):
-            if not 1 <= v < self.p:
-                raise ParameterError("key components must lie in [1, p)")
-
+class ModifiedPublicKey(DisguisedPublicKey):
     @property
     def q(self) -> int:
         return (self.p - 1) // 2
-
-    @property
-    def s_value(self) -> int:
-        return self.s[0]
 
     @property
     def max_message(self) -> int:
@@ -64,29 +44,17 @@ class ModifiedPublicKey:
 
 
 @dataclass(frozen=True)
-class ModifiedSecretKey:
-    p: int
-    g: int
-    y: int
-    x: int
-    k: int
+class ModifiedSecretKey(DisguisedSecretKey):
     primes: PrimeSequence
-    # Derived once at construction; left out of equality, repr and the key file.
-    s_value: int = field(init=False, repr=False, compare=False)  # g^k, every public s_i
-    mask: int = field(init=False, repr=False, compare=False)  # y^k, which masks every u_i
 
     def __post_init__(self):
-        if self.y != pow(self.g, self.x, self.p):
-            raise ParameterError("y is not g^x mod p")
+        super().__post_init__()
         if gcd(self.k, self.p - 1) != 1:
             raise ParameterError("k must be invertible mod p-1 so s stays a generator")
         if self.primes.product >= self.p:
             raise ParameterError("modulus must exceed the product of all primes")
-        qbits = ((self.p - 1) // 2).bit_length()
-        if self.primes.n >= qbits - 1:
+        if self.primes.n >= self.q.bit_length() - 1:
             raise ParameterError("n must stay below bitlen(q) - 1 so r' < q")
-        object.__setattr__(self, "s_value", pow(self.g, self.k, self.p))
-        object.__setattr__(self, "mask", pow(self.y, self.k, self.p))
 
     @property
     def n(self) -> int:
@@ -163,23 +131,15 @@ def keygen(
         k = rng.randrange(2, p - 2)
         if gcd(k, p - 1) == 1:
             break
-    return _assemble(group, x, k, primes)
+    return assemble(ModifiedPublicKey, ModifiedSecretKey, group, x, k, primes)
 
 
 def keypair_from_params(
     p: int, g: int, x: int, k: int, prime_terms
 ) -> tuple[ModifiedPublicKey, ModifiedSecretKey]:
     group = SafePrimeGroup(p, (p - 1) // 2, g)
-    return _assemble(group, x, k, PrimeSequence(tuple(prime_terms)))
-
-
-def _assemble(group: SafePrimeGroup, x, k, primes):
-    """Both keys over an already-certified group; no primality test is repeated."""
-    p, g = group.p, group.g
-    sec = ModifiedSecretKey(p=p, g=g, y=pow(g, x, p), x=x, k=k, primes=primes)
-    u = tuple(sec.mask * pi % p for pi in primes)
-    pub = ModifiedPublicKey(n=primes.n, p=p, s=(sec.s_value,) * primes.n, u=u)
-    return pub, sec
+    primes = PrimeSequence(tuple(prime_terms))
+    return assemble(ModifiedPublicKey, ModifiedSecretKey, group, x, k, primes)
 
 
 def _parity_adjust(r_int: int) -> int:
@@ -225,10 +185,7 @@ def recover_randomness(
     primes for honest ciphertexts; divisibility by each key prime then reads
     the bits back (their pairwise coprimality makes that sound).
     """
-    c1x = pow(c1_prime, sk.x, sk.p)
-    if c1x == 0:
-        raise MalformedCiphertext("C1' shares a factor with the modulus")
-    d = c1_dprime * mod_inv(c1x, sk.p) % sk.p
+    d = sk.unmask(c1_prime, c1_dprime)
     if d == 0:
         raise MalformedCiphertext("C1'' shares a factor with the modulus")
     r_hat, _ = solve_coprime_subset_product(sk.primes, d)

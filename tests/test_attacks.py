@@ -160,6 +160,19 @@ def test_mitm_validates_split_and_memory_cap(toy_keypair):
         attacks.mitm_subset_attack(pub, ct, split=2, max_list_entries=8)
 
 
+def test_mitm_memory_cap_counts_only_subsets_of_weight_at_most_h():
+    # All subsets of either half would be 2^23 + 2^23 entries, past the
+    # default cap; the weight <= 1 lists hold 24 + 24.
+    n = 46
+    pub = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=tuple(range(2, n + 2)))
+    ct = akleylek.encrypt(pub, BitVector.from_indices(n, [5]))
+    exhaustive = attacks.exhaustive_subset_attack(pub, ct)
+    assert exhaustive.subsets_examined == 6
+    mitm = attacks.mitm_subset_attack(pub, ct)
+    assert mitm.candidates == exhaustive.candidates == (BitVector.from_indices(n, [5]),)
+    assert mitm.subsets_examined == 48
+
+
 def test_attacks_recover_randomness_of_modified_scheme():
     rng = random.Random(77)
     pub, _ = modified.keygen(10, 8, rng)

@@ -113,7 +113,7 @@ def test_malleation_case1_changes_only_c2():
     rng = random.Random(10)
     challenge = modified.encrypt(pub, 77, rng)
     for _ in range(50):
-        query = games.malleation_case1(challenge, pub, rng)
+        query = games.mutate_ciphertext(challenge, "c2", rng, pub.p)
         assert (query.c1_prime, query.c1_dprime) == (challenge.c1_prime, challenge.c1_dprime)
         assert query.c2 != challenge.c2
 
@@ -145,7 +145,7 @@ def test_malleation_trials_measure_acceptance_with_replayable_findings():
         m = trial_rng.randrange(1, pk.max_message + 1)
         r = BitVector.from_int(trial_rng.randrange(2, 1 << n), n)
         challenge = modified.encrypt_with_randomness(pk, m, r)
-        query = games.malleation_case1(challenge, pk, trial_rng)
+        query = games.mutate_ciphertext(challenge, "c2", trial_rng, pk.p)
         assert (query.c1_prime, query.c1_dprime, query.c2) == finding.query
         out = modified.decrypt(sk, query)
         assert out.accepted and out.message == finding.decrypted

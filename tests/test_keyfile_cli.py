@@ -123,21 +123,21 @@ def test_ciphertext_from_text_raises_only_keyfile_error(text):
 _TINY_PRIMES, _TINY_X, _TINY_K = (2, 3), 3, 5
 
 
-def tiny_modified_key_texts(p, g):
-    """Public and secret key files over (p, g), whatever p and g are.
+def tiny_modified_key_texts(p, g, x=_TINY_X, k=_TINY_K):
+    """Public and secret key files over (p, g), whatever p, g, x and k are.
 
     The files are written field by field, so no key constructor sees the
     group before the parser does; certifying it is the parser's job.
     """
-    y, s = pow(g, _TINY_X, p), pow(g, _TINY_K, p)
-    mask = pow(y, _TINY_K, p)
+    y, s = pow(g, x, p), pow(g, k, p)
+    mask = pow(y, k, p)
 
     def hexes(vals):
         return ",".join(format(v, "x") for v in vals)
 
     head = [("n", hexes([len(_TINY_PRIMES)])), ("p", hexes([p]))]
     pub = [("s", hexes([s] * len(_TINY_PRIMES))), ("u", hexes(mask * pi % p for pi in _TINY_PRIMES))]
-    sec = [(name, hexes([v])) for name, v in zip("gyxk", (g, y, _TINY_X, _TINY_K))]
+    sec = [(name, hexes([v])) for name, v in zip("gyxk", (g, y, x, k))]
     sec.append(("primes", hexes(_TINY_PRIMES)))
     return (
         keyfile._emit("modified", "public", head + pub),
@@ -176,6 +176,30 @@ def test_modified_key_files_over_a_bad_group_are_refused(case, tmp_path, capsys)
     pub.write_text(pub_text)
     sec.write_text(sec_text)
     assert cli.main(["encrypt", "--key", str(pub), "--message", "5", "--seed", "1"]) == 1
+    assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", "1 2 3"]) == 1
+    assert "invalid key material" in capsys.readouterr().err
+
+
+# (x, k) over p = 23: each out of [1, p - 2], each with y = g^x and gcd(k, p - 1) = 1
+BAD_EXPONENTS = {
+    "x-zero": (0, _TINY_K),  # y = 1, so every u_i would be a secret prime itself
+    "x-p-minus-1": (22, _TINY_K),
+    "x-negative": (-_TINY_X, _TINY_K),
+    "x-above-p": (23 + _TINY_X, _TINY_K),
+    "k-negative": (_TINY_X, -_TINY_K),
+    "k-above-p-minus-2": (_TINY_X, 22 + _TINY_K),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXPONENTS))
+def test_modified_secret_key_files_with_exponents_out_of_range_are_refused(
+    case, tmp_path, capsys
+):
+    _, sec_text = tiny_modified_key_texts(23, 5, *BAD_EXPONENTS[case])
+    with pytest.raises(KeyFileError, match="exponents must lie in"):
+        keyfile.parse_key(sec_text)
+    sec = tmp_path / "bad.sec"
+    sec.write_text(sec_text)
     assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", "1 2 3"]) == 1
     assert "invalid key material" in capsys.readouterr().err
 
@@ -319,6 +343,7 @@ def test_cli_attack_strategies_agree(toy_files, capsys):
     assert out_exh[1] == cli.BENCH_HEADER
     row = out_exh[2].split(",")
     assert row[0] == "5" and row[1] == "2" and row[2] == "10"
+    assert row[3] == "28.9352" and row[4] == "6"  # bound and subsets examined
 
 
 def test_cli_round_trip_past_the_int_str_digit_limit(tmp_path, capsys):
@@ -356,7 +381,8 @@ def test_cli_audit_reports_toy_collisions(toy_files, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "collision product=72 messages=00110,01001,11010" in out
-    assert "overflow message=01111" in out
+    overflows = [line for line in out.splitlines() if line.startswith("overflow")]
+    assert overflows == [f"overflow message={m}" for m in ("01111", "10111", "11111")]
     assert "unique_fraction=0.781250" in out
 
 

@@ -22,6 +22,18 @@ def load_spans():
     return spans
 
 
+def trace_one_op(spans, layers, op):
+    """The spans of op, run once under the benchmark's installed tracer and root span."""
+    tracer = spans.Tracer(SimpleNamespace(**layers))
+    tracer.install()
+    try:
+        tracer.op = 0
+        tracer.wrap(op, spans.ROOT)()
+    finally:
+        tracer.uninstall()
+    return tracer.take()
+
+
 def test_tracer_covers_every_wrapped_knaplab_name():
     spans = load_spans()
     mods = SimpleNamespace(
@@ -49,14 +61,7 @@ def test_tracer_taggers_read_every_attack_and_decrypt_all_call(toy_keypair):
         attacks.mitm_subset_attack(mod_pub, mod_ct)
         akleylek.decrypt_all(sec, ct)
 
-    tracer = spans.Tracer(SimpleNamespace(**layers))
-    tracer.install()
-    try:
-        tracer.op = 0
-        tracer.wrap(op, spans.ROOT)()  # the benchmark's root span around one operation
-    finally:
-        tracer.uninstall()
-    metrics, _ = spans.layer_metrics(tracer.take(), 1)
+    metrics, _ = spans.layer_metrics(trace_one_op(spans, layers, op), 1)
     for name in (
         "attacks.exhaustive_subset_attack.examined_per_call",
         "attacks.mitm_subset_attack.list_entries_per_call",
@@ -65,3 +70,22 @@ def test_tracer_taggers_read_every_attack_and_decrypt_all_call(toy_keypair):
         "attacks.mitm_subset_attack.modified.ms_per_call",
     ):
         assert metrics[name] > 0, name
+
+
+def test_tracer_tags_parsed_key_files_of_both_schemes_by_role(toy_keypair):
+    """The role tag reads "Public" or "Secret" in the parsed key's class name."""
+    spans = load_spans()
+    layers = {layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
+    keyfile, modified = layers["keyfile"], layers["modified"]
+    keys = (*toy_keypair, *modified.keygen(10, 8, random.Random(3)))
+    texts = [keyfile.serialize_key(key) for key in keys]
+
+    def op():
+        for text in texts:
+            keyfile.parse_key(text)
+
+    recorded = trace_one_op(spans, layers, op)
+    metrics, _ = spans.layer_metrics(recorded, 1)
+    assert metrics["keyfile.parse_key.public.ms_per_op"] > 0
+    assert metrics["keyfile.parse_key.secret.ms_per_op"] > 0
+    assert not [span for span in recorded if span[0].endswith(".params")]
