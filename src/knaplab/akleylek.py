@@ -32,9 +32,7 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 
 
 class AkleylekPublicKey(DisguisedPublicKey):
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.s, self.u))
+    """The original cipher's public key; dispatch and tracing read its class name."""
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ encryptor would have produced it and rejects on mismatch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd, prod
 
@@ -46,6 +46,9 @@ class ModifiedPublicKey(DisguisedPublicKey):
 @dataclass(frozen=True)
 class ModifiedSecretKey(DisguisedSecretKey):
     primes: PrimeSequence
+    # s^0..s^n mod p, indexed by weight: every C1' an honest encryptor can send.
+    # A tuple, so `in` and [h] compare exactly as C1' == s^h would.
+    s_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -55,6 +58,10 @@ class ModifiedSecretKey(DisguisedSecretKey):
             raise ParameterError("modulus must exceed the product of all primes")
         if self.primes.n >= self.q.bit_length() - 1:
             raise ParameterError("n must stay below bitlen(q) - 1 so r' < q")
+        powers = [1]
+        for _ in range(self.n):
+            powers.append(powers[-1] * self.s_value % self.p)
+        object.__setattr__(self, "s_powers", tuple(powers))
 
     @property
     def n(self) -> int:
@@ -201,11 +208,15 @@ def decrypt(sk: ModifiedSecretKey, ct: ModifiedCiphertext) -> DecryptOutcome:
     negation C1' -> p - C1', which leaves C1'^x unchanged when x is even.
     C2 needs no check of its own: raising to r' permutes the group, so every
     C2 in [1, p) is the honest C2 of exactly one m + h (see the README).
+    A C1' that is none of s^0..s^n can match no s^h, so it is rejected
+    before the costly unmask C1'^x.
     """
     p = sk.p
     for v in (ct.c1_prime, ct.c1_dprime, ct.c2):
         if not 1 <= v < p:
             return DecryptOutcome.reject(RejectReason.MALFORMED)
+    if ct.c1_prime not in sk.s_powers:
+        return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
     try:
         r_hat, h_hat = recover_randomness(sk, ct.c1_prime, ct.c1_dprime)
     except (MalformedCiphertext, ValueError):
@@ -213,7 +224,7 @@ def decrypt(sk: ModifiedSecretKey, ct: ModifiedCiphertext) -> DecryptOutcome:
     if r_hat.as_int < 2:
         # honest encryptors never use the integers 0 or 1 as randomness
         return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
-    if ct.c1_prime != pow(sk.s_value, h_hat, p) or ct.c1_dprime != (
+    if ct.c1_prime != sk.s_powers[h_hat] or ct.c1_dprime != (
         pow(sk.mask, h_hat, p)
         * prod((pi for pi, b in zip(sk.primes, r_hat) if b), start=1)
         % p

@@ -45,7 +45,8 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-_TRIAL_PRIMES = _sieve(1000)
+_TRIAL_PRIMES = frozenset(_sieve(1000))
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)  # n has a factor below 1000 iff gcd(n, this) != 1
 _TRIAL_LIMIT = 1000 * 1000  # below this, trial division is exact
 
 
@@ -223,9 +224,8 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
         raise ValueError("rounds must be >= 1")
     if n < 2:
         return False
-    for sp in _TRIAL_PRIMES:
-        if n % sp == 0:
-            return n == sp
+    if gcd(n, _TRIAL_PRODUCT) != 1:
+        return n in _TRIAL_PRIMES
     if n < _TRIAL_LIMIT:
         return True
     draw = rng.randrange if rng is not None else random.randrange

@@ -210,6 +210,12 @@ def small_modified_key_fields():
     return [keyfile._parse_fields(keyfile.serialize_key(key)) for key in (pub, sec)]
 
 
+@pytest.fixture(scope="module")
+def small_original_key_fields():
+    pub, sec = akleylek.keygen(6, 48, random.Random(5))
+    return [keyfile._parse_fields(keyfile.serialize_key(key)) for key in (pub, sec)]
+
+
 hostile_ints = st.one_of(
     st.sampled_from([0, 1, -1, 2]),
     st.integers(max_value=-2),
@@ -219,12 +225,12 @@ hostile_ints = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_parse_key_raises_only_keyfile_error_on_hostile_modified_keys(
-    small_modified_key_fields, data
-):
-    fields = dict(data.draw(st.sampled_from(small_modified_key_fields)))
+def assert_hostile_field_raises_only_keyfile_error(key_fields, data):
+    """Replace one field of a valid key file by hostile text, then parse it.
+
+    The parse either fails with KeyFileError or yields a key that round-trips.
+    """
+    fields = dict(data.draw(st.sampled_from(key_fields)))
     name = data.draw(st.sampled_from(sorted(set(fields) - {"version", "scheme", "role"})))
     if "," in fields[name]:  # a sequence: wrong length, or hostile entries
         items = fields[name].split(",")
@@ -244,6 +250,22 @@ def test_parse_key_raises_only_keyfile_error_on_hostile_modified_keys(
     except KeyFileError:
         return
     assert keyfile.parse_key(keyfile.serialize_key(key)) == key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_key_raises_only_keyfile_error_on_hostile_modified_keys(
+    small_modified_key_fields, data
+):
+    assert_hostile_field_raises_only_keyfile_error(small_modified_key_fields, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_key_raises_only_keyfile_error_on_hostile_original_keys(
+    small_original_key_fields, data
+):
+    assert_hostile_field_raises_only_keyfile_error(small_original_key_fields, data)
 
 
 # --- CLI -----------------------------------------------------------------------

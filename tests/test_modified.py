@@ -324,6 +324,101 @@ def test_out_of_range_components_are_malformed(keypair):
         assert not out.accepted and out.reason is RejectReason.MALFORMED
 
 
+def reference_decrypt(sk, ct):
+    """`decrypt` as computed without the s^0..s^n table.
+
+    It unmasks with C1'^x first, then re-derives both C1 components with pow.
+    """
+    p = sk.p
+    if not all(1 <= v < p for v in (ct.c1_prime, ct.c1_dprime, ct.c2)):
+        return DecryptOutcome.reject(RejectReason.MALFORMED)
+    try:
+        d = ct.c1_dprime * pow(pow(ct.c1_prime, sk.x, p), -1, p) % p
+    except ValueError:  # C1'^x is not invertible mod p
+        return DecryptOutcome.reject(RejectReason.MALFORMED)
+    r_hat = BitVector(tuple(int(d % pi == 0) for pi in sk.primes))
+    h_hat = r_hat.weight
+    if r_hat.as_int < 2:
+        return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
+    c1p = pow(pow(sk.g, sk.k, p), h_hat, p)
+    selected = math.prod((pi for pi, b in zip(sk.primes, r_hat) if b), start=1)
+    c1pp = pow(pow(sk.y, sk.k, p), h_hat, p) * selected % p
+    if (ct.c1_prime, ct.c1_dprime) != (c1p, c1pp):
+        return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
+    m_hat = pow(ct.c2, pow(r_hat.as_int | 1, -1, p - 1), p) - h_hat
+    if not 1 <= m_hat <= p - sk.n - 1:
+        return DecryptOutcome.reject(RejectReason.MESSAGE_INCONSISTENT)
+    return DecryptOutcome.accept(m_hat)
+
+
+@pytest.fixture(scope="module")
+def seeded_keys():
+    # n from 2 to 16, with even and odd x among them
+    return [keygen(n, 8, random.Random(300 + n)) for n in (2, 3, 5, 8, 10, 12)] + [
+        keygen(16, 16, random.Random(seed)) for seed in range(4)
+    ]
+
+
+def component(p):
+    """A replacement ciphertext component, in range or just outside it."""
+    return st.one_of(st.integers(min_value=1, max_value=p - 1), st.sampled_from([0, p, p + 1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_decrypt_matches_the_reference_on_tampered_ciphertexts(seeded_keys, data):
+    pub, sec = data.draw(st.sampled_from(seeded_keys))
+    p = pub.p
+    m = data.draw(st.integers(min_value=1, max_value=pub.max_message))
+    r = BitVector.from_int(data.draw(st.integers(min_value=2, max_value=(1 << pub.n) - 1)), pub.n)
+    ct = encrypt_with_randomness(pub, m, r)
+    c1p, c1pp, c2 = ct.c1_prime, ct.c1_dprime, ct.c2
+    kind = data.draw(st.sampled_from(["honest", "random", "power", "negated", "bare-prime"]))
+    if kind == "random":
+        c1p = data.draw(component(p))
+    elif kind == "power":
+        c1p = pow(pub.s_value, data.draw(st.integers(min_value=0, max_value=pub.n)), p)
+    elif kind == "negated":
+        c1p = p - c1p
+    elif kind == "bare-prime":
+        c1p, c1pp = 1, sec.primes.primes[0]
+    if data.draw(st.booleans()):
+        c1pp = data.draw(component(p))
+    if data.draw(st.booleans()):
+        c2 = data.draw(component(p))
+    query = ModifiedCiphertext(c1p, c1pp, c2)
+    assert decrypt(sec, query) == reference_decrypt(sec, query)
+
+
+def test_c1_prime_outside_the_power_table_is_rejected_before_recovery(keypair, monkeypatch):
+    pub, sec = keypair
+    p = pub.p
+    assert sec.s_powers == tuple(pow(pub.s_value, j, p) for j in range(pub.n + 1))
+    assert "s_powers" not in repr(sec)
+    calls = []
+
+    def counting_recover_randomness(*args):
+        calls.append(args)
+        return recover_randomness(*args)
+
+    monkeypatch.setattr(modified, "recover_randomness", counting_recover_randomness)
+    ct = encrypt(pub, 55, random.Random(24))
+    rng = random.Random(25)
+    outside = [p - ct.c1_prime, *(rng.randrange(1, p) for _ in range(50))]
+    for c1p in outside:
+        if c1p in sec.s_powers:
+            continue
+        out = decrypt(sec, ModifiedCiphertext(c1p, ct.c1_dprime, ct.c2))
+        assert out.reason is RejectReason.RANDOMNESS_INCONSISTENT
+    assert calls == []
+    assert decrypt(sec, ct) == DecryptOutcome.accept(55)
+    assert len(calls) == 1
+    bad_c1pp = ct.c1_dprime % (p - 1) + 1
+    out = decrypt(sec, ModifiedCiphertext(ct.c1_prime, bad_c1pp, ct.c2))
+    assert out.reason is RejectReason.RANDOMNESS_INCONSISTENT
+    assert len(calls) == 2
+
+
 def test_decrypt_outcome_enforces_exactly_one_variant():
     with pytest.raises(ValueError):
         DecryptOutcome(message=None, reason=None)
