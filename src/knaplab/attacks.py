@@ -83,14 +83,22 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
 
     Candidates are complete: every subset reproducing the target component
     is returned, since ambiguous decryptions are part of what the lab
-    measures.  subsets_examined counts fully-built weight-h products, so
-    pruning only ever lowers it below n-choose-h.
+    measures.  subsets_examined counts the weight-h subsets the walk decides
+    one by one at its last factor, so pruning only ever lowers it below
+    n-choose-h.
 
-    An unreduced product only grows as factors join it, so the walk takes
-    the u_i in ascending order and ends a loop at the first factor that
-    overshoots the target: every later sibling overshoots too.  A subset is
-    examined iff its full product is at most the target, whatever the
-    order, so the count equals that of an index-order walk.
+    An unreduced target T is matched with the u_i in ascending order.  In
+    place of the partial product P the walk carries cap = T // P and whether
+    P divides T; a child takes divmod(cap, u_i), since floor(floor(T/a)/b)
+    equals floor(T/(ab)).  A last factor u_i is examined iff u_i <= cap,
+    that is iff the full product is at most T, and it matches iff P divides
+    T and u_i == cap.  A loop that still has to pick k factors ends at the
+    first i where u_i * ... * u_(i+k-1), the smallest completion, exceeds
+    cap: no subset below it or to its right can be examined.  So a subset
+    is examined iff its full product is at most the target, the same count
+    as an index-order walk, and each one is still visited.  A target
+    reduced mod p admits no such bound, so that walk builds every product
+    mod p and examines all n-choose-h subsets.
     """
     start = time.perf_counter()
     h, target, reduced = _weight_and_target(pk, ct)
@@ -101,28 +109,43 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
     found: list[int] = []
     examined = 0
 
-    def walk(first: int, depth: int, mask: int, partial: int):
+    def walk_reduced(first: int, left: int, mask: int, partial: int):
         nonlocal examined
-        if depth == h - 1:  # the last factor: each step builds a full subset
+        if left == 1:  # the last factor: each step builds a full subset
             for i in range(first, n):
-                nxt = partial * u[i]
-                if reduced:
-                    nxt %= p
-                elif nxt > target:
-                    break
                 examined += 1
-                if nxt == target:
+                if partial * u[i] % p == target:
                     found.append(mask | bit[i])
             return
-        for i in range(first, n - (h - 1 - depth)):
-            nxt = partial * u[i]
-            if reduced:
-                nxt %= p
-            elif nxt > target:
-                break
-            walk(i + 1, depth + 1, mask | bit[i], nxt)
+        for i in range(first, n - left + 1):
+            walk_reduced(i + 1, left - 1, mask | bit[i], partial * u[i] % p)
 
-    walk(0, 0, 0, 1)
+    def walk(first: int, left: int, mask: int, cap: int, exact: bool):
+        nonlocal examined
+        if left == 1:  # the last factor: each step decides one full subset
+            for i in range(first, n):
+                ui = u[i]
+                if ui > cap:
+                    break
+                examined += 1
+                if exact and ui == cap:
+                    found.append(mask | bit[i])
+            return
+        smallest = least[left]
+        for i in range(first, n - left + 1):
+            if smallest[i] > cap:
+                break
+            quotient, remainder = divmod(cap, u[i])
+            walk(i + 1, left - 1, mask | bit[i], quotient, exact and not remainder)
+
+    if reduced:
+        walk_reduced(0, h, 0, 1)
+    else:
+        # least[k][i] = u_i * ... * u_(i+k-1), the smallest product of k factors from i on
+        least = [[], u]
+        for k in range(2, h + 1):
+            least.append([a * b for a, b in zip(u, least[-1][1:])])
+        walk(0, h, 0, target, True)
     return AttackReport(
         recovered_h=h,
         candidates=tuple(BitVector.from_int(mask, n) for mask in sorted(found)),
@@ -133,12 +156,14 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
 
 
 def _products_by_weight(factors, bits, p: int, first: int, weight_cap: int):
-    """Per weight w <= cap, every (subset mask, first * product of its factors mod p)."""
-    levels: list[list[tuple[int, int]]] = [[(0, first % p)]] + [[] for _ in range(weight_cap)]
+    """Per weight w <= cap, parallel lists of subset masks and of first * their product mod p."""
+    masks: list[list[int]] = [[0]] + [[] for _ in range(weight_cap)]
+    products: list[list[int]] = [[first % p]] + [[] for _ in range(weight_cap)]
     for factor, bit in zip(factors, bits):
         for w in range(weight_cap, 0, -1):  # descending: level w-1 is still without bit
-            levels[w].extend((mask | bit, pr * factor % p) for mask, pr in levels[w - 1])
-    return levels
+            masks[w].extend(map(bit.__or__, masks[w - 1]))
+            products[w].extend(map(p.__rmod__, map(factor.__mul__, products[w - 1])))
+    return masks, products
 
 
 def mitm_subset_attack(
@@ -154,12 +179,15 @@ def mitm_subset_attack(
     keyed by weight.  The right list starts at the target and multiplies in
     the precomputed inverses of u_split..u_(n-1), so a right subset R of
     weight w holds target / prod(u_R) mod p, which is exactly the product a
-    left subset of weight h - w must have.  For an unreduced target the
-    congruence is only a filter: every exact solution satisfies it, and
-    each hit is confirmed by its integer product before it counts.  The
-    candidate set equals the exhaustive attack's; only the cost profile
-    changes.  subsets_examined counts list entries, not pairs; the lists
-    hold only subsets of weight <= h, and max_list_entries caps that count.
+    left subset of weight h - w must have.  Each weight pair is matched by
+    intersecting the two sets of products; only on a hit are both lists
+    filtered, so every left and every right subset sharing a hit product
+    is paired.  For an unreduced target the congruence is only a filter:
+    every exact solution satisfies it, and each hit is confirmed by its
+    integer product before it counts.  The candidate set equals the
+    exhaustive attack's; only the cost profile changes.  subsets_examined
+    counts list entries, not pairs; the lists hold only subsets of weight
+    <= h, and max_list_entries caps that count.
     """
     start = time.perf_counter()
     n = pk.n
@@ -177,19 +205,19 @@ def mitm_subset_attack(
     except ValueError:
         raise ParameterError("a public u_i is not invertible mod p") from None
     bits = [1 << (n - 1 - j) for j in range(n)]  # masks are BitVector.from_int values
-    left = _products_by_weight(u[:split], bits[:split], p, 1, h)
-    right = _products_by_weight(inverses, bits[split:], p, target, h)
-    by_weight: list[dict[int, list[int]]] = []
-    for level in left:
-        by_product: dict[int, list[int]] = {}
-        for mask, pr in level:
-            by_product.setdefault(pr, []).append(mask)
-        by_weight.append(by_product)
+    left_masks, left = _products_by_weight(u[:split], bits[:split], p, 1, h)
+    right_masks, right = _products_by_weight(inverses, bits[split:], p, target, h)
     found = []
-    for w, level in enumerate(right):
-        by_product = by_weight[h - w]
-        for rmask, want in level:
-            for lmask in by_product.get(want, ()):
+    for w, want in enumerate(right):
+        have = left[h - w]
+        hits = set(have).intersection(want)
+        if not hits:
+            continue
+        by_product: dict[int, list[int]] = {}
+        for pr, lmask in compress(zip(have, left_masks[h - w]), map(hits.__contains__, have)):
+            by_product.setdefault(pr, []).append(lmask)
+        for pr, rmask in compress(zip(want, right_masks[w]), map(hits.__contains__, want)):
+            for lmask in by_product[pr]:
                 m = BitVector.from_int(lmask | rmask, n)
                 if reduced or prod(compress(u, m.bits)) == target:
                     found.append(m)

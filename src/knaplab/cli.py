@@ -218,16 +218,29 @@ def cmd_game(args) -> int:
     return 0
 
 
+def _bench_weights(n: int, h_values: str | None) -> list[int]:
+    """The swept weights, all checked before any key is made or row printed."""
+    if n < 2:
+        raise ParameterError("need n >= 2")
+    if not h_values:
+        return list(range(1, n))
+    weights = []
+    for tok in h_values.split(","):
+        try:
+            h = int(tok)
+        except ValueError:
+            raise ParameterError(f"--h-values token {tok!r} is not an integer") from None
+        if not 1 <= h <= n:
+            raise ParameterError(f"h={h} out of range for n={n}")
+        weights.append(h)
+    return weights
+
+
 def cmd_bench(args) -> int:
     rng = _rng(args.seed)
-    if args.h_values:
-        h_values = [int(tok) for tok in args.h_values.split(",")]
-    else:
-        h_values = list(range(1, args.n))
+    h_values = _bench_weights(args.n, args.h_values)
     print(BENCH_HEADER + ",regime")
     for h in h_values:
-        if not 1 <= h <= args.n:
-            raise ParameterError(f"h={h} out of range for n={args.n}")
         pk, sk = akleylek.keygen(
             args.n,
             games.suggested_modulus_bits(args.n),

@@ -5,6 +5,8 @@ import random
 from math import comb, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knaplab import akleylek, attacks, cli, games, keyfile, modified
 from knaplab.errors import MalformedCiphertext, ParameterError
@@ -306,6 +308,56 @@ def test_every_search_agrees_with_a_combinations_reference():
         if sk is not None:
             d = akleylek.decrypt_d(sk, ct)
             assert akleylek.decrypt_all(sk, ct) == reference_candidates(sk.a.terms, h, d)
+
+
+# primes above every base value below, so none divides any u_i
+PRIMES_OUTSIDE_THE_KEY = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_search_agrees_with_the_reference_on_targets_built_to_miss(data):
+    n = data.draw(st.integers(2, 9), label="n")
+    u = data.draw(st.lists(st.integers(1, 50), min_size=n, max_size=n), label="base")
+    for j in range(1, n):
+        i = data.draw(st.integers(0, j - 1))
+        edit = data.draw(st.sampled_from(("keep", "repeat", "multiple", "one")))
+        if edit == "repeat":
+            u[j] = u[i]
+        elif edit == "multiple":
+            u[j] = data.draw(st.integers(2, 5)) * u[i]
+        elif edit == "one":
+            u[j] = 1
+    pk = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=tuple(u))
+    h = data.draw(st.integers(1, n), label="h")
+    chosen = prod(u[j] for j in data.draw(st.permutations(range(n)))[:h])
+    kind = data.draw(st.sampled_from(("plus-one", "minus-one", "times-prime", "below", "above")))
+    if kind == "plus-one":
+        target = chosen + 1
+    elif kind == "minus-one":
+        target = chosen - 1
+    elif kind == "times-prime":
+        target = chosen * data.draw(st.sampled_from(PRIMES_OUTSIDE_THE_KEY))
+    elif kind == "below":
+        target = prod(sorted(u)[:h]) - 1
+    else:
+        target = data.draw(st.integers(prod(u), 2 * prod(u)))
+    assume(target >= 1)
+    ct = akleylek.AkleylekCiphertext(3**h, target)
+    expected = reference_candidates(u, h, target)
+    if kind == "times-prime":
+        assert expected == ()
+    exh = attacks.exhaustive_subset_attack(pk, ct)
+    assert exh.recovered_h == h
+    assert exh.candidates == expected
+    within = sum(1 for idx in itertools.combinations(u, h) if prod(idx) <= target)
+    assert exh.subsets_examined == within
+    if kind == "below":
+        assert within == 0
+    elif kind == "above":
+        assert within == binomial(n, h)
+    for split in range(1, n):
+        assert attacks.mitm_subset_attack(pk, ct, split).candidates == expected
 
 
 def test_mitm_inverts_once_per_right_index_and_lists_every_subset(monkeypatch):

@@ -528,6 +528,27 @@ def test_cli_bench_rows_carry_regimes(capsys):
         assert int(exact) <= float(bound) + 1e-9
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["-n", "0"], "need n >= 2"),
+        (["-n", "-3"], "need n >= 2"),
+        (["-n", "1"], "need n >= 2"),
+        (["-n", "1", "--h-values", "1"], "need n >= 2"),
+        (["-n", "6", "--h-values", "3,99"], "h=99 out of range for n=6"),
+        (["-n", "6", "--h-values", "0,3"], "h=0 out of range for n=6"),
+        (["-n", "6", "--h-values", "3,,4"], "token ''"),
+        (["-n", "6", "--h-values", "3,four"], "token 'four'"),
+    ],
+)
+def test_cli_bench_rejects_bad_sizes_before_printing_a_row(extra, message, capsys):
+    assert cli.main(["bench", "--seed", "1"] + extra) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_errors_exit_one(toy_files, capsys):
     pub, sec = toy_files
     assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", "junk"]) == 1
