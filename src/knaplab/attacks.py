@@ -69,9 +69,7 @@ def recover_hamming_weight(pk, c1: int) -> int:
 
 def _weight_and_target(pk, ct) -> tuple[int, int, bool]:
     """(h, the product to match, whether that product is reduced mod p)."""
-    scheme = scheme_of(pk)
-    if type(ct) is not scheme.ciphertext:
-        raise ParameterError("ciphertext does not belong to this key")
+    scheme = scheme_of(pk, ct)
     c1, target = scheme.attack_target(ct)
     if scheme.reduced and not 1 <= target < pk.p:
         raise MalformedCiphertext("the subset-product component must lie in [1, p)")

@@ -11,9 +11,8 @@ import argparse
 import random
 import sys
 
-from . import akleylek, attacks, games, keyfile, modified
-from .errors import MalformedCiphertext, ParameterError
-from .keyfile import KeyFileError, KeyParams
+from . import akleylek, attacks, games, keyfile
+from .errors import ParameterError
 from .numtheory import BitVector
 from .schemes import ORIGINAL, SCHEMES, scheme_of
 
@@ -28,33 +27,9 @@ def _rng(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else random.Random()
 
 
-def _load_public_key(path):
-    """Load a key that must be public; secret material is never constructed."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    fields = keyfile._parse_fields(text)
-    if fields.get("role") != "public":
-        raise KeyFileError(f"{path}: refusing to read a non-public key here")
-    return keyfile.parse_key(text)
-
-
-def _load_secret_key(path):
-    key = keyfile.load_key(path)
-    if not any(type(key) is scheme.secret_key for scheme in SCHEMES.values()):
-        raise KeyFileError(f"{path}: expected a secret key file")
-    return key
-
-
 def _read_ciphertext(args):
     text = args.ciphertext if args.ciphertext is not None else sys.stdin.read()
     return keyfile.ciphertext_from_text(text)
-
-
-def _matching_scheme(key, ct):
-    scheme = scheme_of(key)
-    if type(ct) is not scheme.ciphertext:
-        raise KeyFileError("ciphertext does not match the key's scheme")
-    return scheme
 
 
 def _bench_row(n: int, report) -> str:
@@ -68,9 +43,7 @@ def _bench_row(n: int, report) -> str:
 def cmd_keygen(args) -> int:
     rng = _rng(args.seed)
     if args.fixed_key is not None:
-        params = keyfile.load_key(args.fixed_key)
-        if not isinstance(params, KeyParams):
-            raise KeyFileError(f"{args.fixed_key}: expected a role=params file")
+        params = keyfile.load_key(args.fixed_key, "params")
         if params.scheme != args.scheme:
             raise ParameterError(
                 f"params file is for scheme {params.scheme!r}, not {args.scheme!r}"
@@ -80,21 +53,8 @@ def cmd_keygen(args) -> int:
         )
     elif args.n is None:
         raise ParameterError("-n is required unless --fixed-key is given")
-    elif args.scheme == "original":
-        bits = (
-            args.modulus_bits
-            if args.modulus_bits is not None
-            else games.suggested_modulus_bits(args.n, args.max_step)
-        )
-        pub, sec = akleylek.keygen(
-            args.n,
-            bits,
-            rng,
-            max_step=args.max_step,
-            enforce_capacity=not args.allow_overflow,
-        )
     else:
-        pub, sec = modified.keygen(args.n, args.prime_bits, rng)
+        pub, sec = _game_scheme(args).keygen(rng)
     keyfile.save_key(args.public_out, pub)
     keyfile.save_key(args.secret_out, sec)
     print(f"wrote {args.public_out} and {args.secret_out}")
@@ -102,7 +62,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    pk = _load_public_key(args.key)
+    pk = keyfile.load_key(args.key, "public")
     rng = _rng(args.seed)
     scheme = scheme_of(pk)
     ct = scheme.encrypt(pk, scheme.parse_message(args.message), rng)
@@ -111,9 +71,9 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    sk = _load_secret_key(args.key)
+    sk = keyfile.load_key(args.key, "secret")
     ct = _read_ciphertext(args)
-    candidates = _matching_scheme(sk, ct).decrypt_all(sk, ct, args.limit)
+    candidates = scheme_of(sk, ct).decrypt_all(sk, ct, args.limit)
     if not candidates:
         print(REJECT_TOKEN)
         return 2
@@ -123,9 +83,8 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    pk = _load_public_key(args.key)
+    pk = keyfile.load_key(args.key, "public")
     ct = _read_ciphertext(args)
-    _matching_scheme(pk, ct)
     if args.strategy == "exhaustive":
         report = attacks.exhaustive_subset_attack(pk, ct)
     else:
@@ -138,7 +97,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    sk = _load_secret_key(args.key)
+    sk = keyfile.load_key(args.key, "secret")
     if scheme_of(sk) is not ORIGINAL:
         raise ParameterError("audit applies to original-scheme secret keys")
     report = akleylek.completeness_audit(sk, exhaustive_limit=args.limit)
@@ -159,9 +118,12 @@ def _game_row(scheme: str, adversary: str, res: games.ExperimentResult) -> str:
 
 
 def _game_scheme(args) -> games.GameScheme:
+    """The scheme record whose keygen is bound to the CLI's key sizes."""
     if args.scheme == "original":
-        return games.original_game_scheme(n=args.n, modulus_bits=args.modulus_bits)
-    return games.modified_game_scheme(n=args.n, prime_bits=args.prime_bits)
+        return games.original_game_scheme(
+            args.n, args.modulus_bits, args.max_step, enforce_capacity=not args.allow_overflow
+        )
+    return games.modified_game_scheme(args.n, args.prime_bits)
 
 
 def cmd_game(args) -> int:
@@ -239,15 +201,12 @@ def _bench_weights(n: int, h_values: str | None) -> list[int]:
 def cmd_bench(args) -> int:
     rng = _rng(args.seed)
     h_values = _bench_weights(args.n, args.h_values)
+    scheme = games.original_game_scheme(args.n)
     print(BENCH_HEADER + ",regime")
     for h in h_values:
-        pk, sk = akleylek.keygen(
-            args.n,
-            games.suggested_modulus_bits(args.n),
-            rng,
-        )
+        pk, _ = scheme.keygen(rng)
         m = BitVector.from_indices(args.n, rng.sample(range(args.n), h))
-        ct = akleylek.encrypt(pk, m)
+        ct = scheme.encrypt(pk, m, rng)
         if args.strategy == "exhaustive":
             report = attacks.exhaustive_subset_attack(pk, ct)
         else:
@@ -329,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-bits", type=int, default=8)
     p.add_argument("--modulus-bits", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_game)
+    # keys are drawn at keygen's default step and capacity
+    p.set_defaults(fn=cmd_game, max_step=10, allow_overflow=False)
 
     p = sub.add_parser("bench", help="attack cost sweep over Hamming weights")
     p.add_argument("-n", type=int, required=True)
@@ -346,10 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyFileError, ParameterError, MalformedCiphertext, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

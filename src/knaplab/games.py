@@ -28,6 +28,7 @@ MUTATION_KINDS = (
     "c1_prime+c2",
     "c1_dprime+c2",
 )
+MAX_FUZZ_FINDINGS = 25
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,17 @@ def suggested_modulus_bits(n: int, max_step: int = 10) -> int:
 
 
 def original_game_scheme(
-    n: int = 16, modulus_bits: int | None = None, max_step: int = 10
+    n: int = 16,
+    modulus_bits: int | None = None,
+    max_step: int = 10,
+    enforce_capacity: bool = True,
 ) -> GameScheme:
     bits = modulus_bits if modulus_bits is not None else suggested_modulus_bits(n, max_step)
     return GameScheme(
-        **vars(ORIGINAL), keygen=lambda rng: akleylek.keygen(n, bits, rng, max_step=max_step)
+        **vars(ORIGINAL),
+        keygen=lambda rng: akleylek.keygen(
+            n, bits, rng, max_step=max_step, enforce_capacity=enforce_capacity
+        ),
     )
 
 
@@ -216,6 +223,8 @@ def run_malleation_trials(
     """
     if strategy not in ("case1", "case2"):
         raise ParameterError(f"unknown strategy {strategy!r}")
+    if trials < 1:
+        raise ParameterError("need at least one trial")
     wins = 0
     rejections = 0
     findings: list[MalleationFinding] = []
@@ -299,14 +308,12 @@ def mutation_fuzzer(
     n: int = 16,
     prime_bits: int = 8,
     keypairs: int = 20,
-    kinds: tuple[str, ...] = MUTATION_KINDS,
-    max_findings: int = 25,
 ) -> FuzzReport:
     """Round-robin single and pairwise component mutations against fresh challenges.
 
     Key pairs are drawn once and rotated to amortize generation; each
     mutation gets a fresh message and challenge.  Acceptances are findings,
-    recorded (up to max_findings) with the key seed and concrete values
+    recorded (up to MAX_FUZZ_FINDINGS) with the key seed and concrete values
     needed to replay them.
     """
     if mutations < 1:
@@ -317,13 +324,13 @@ def mutation_fuzzer(
         pk, sk = modified.keygen(n, prime_bits, random.Random(seed))
         pool.append((seed, pk, sk))
     rejections = 0
-    tried = {kind: 0 for kind in kinds}
-    accepted = {kind: 0 for kind in kinds}
+    tried = dict.fromkeys(MUTATION_KINDS, 0)
+    accepted = dict.fromkeys(MUTATION_KINDS, 0)
     findings: list[MutationFinding] = []
     truncated = False
     for i in range(mutations):
         seed, pk, sk = pool[i % len(pool)]
-        kind = kinds[i % len(kinds)]
+        kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
         m = rng.randrange(1, pk.max_message + 1)
         challenge = modified.encrypt(pk, m, rng)
         query = mutate_ciphertext(challenge, kind, rng, pk.p)
@@ -331,7 +338,7 @@ def mutation_fuzzer(
         tried[kind] += 1
         if out.accepted:
             accepted[kind] += 1
-            if len(findings) < max_findings:
+            if len(findings) < MAX_FUZZ_FINDINGS:
                 findings.append(
                     MutationFinding(
                         index=i,
@@ -351,7 +358,7 @@ def mutation_fuzzer(
         mutations=mutations,
         rejections=rejections,
         acceptances=total_accepted,
-        by_kind=tuple((kind, tried[kind], accepted[kind]) for kind in kinds),
+        by_kind=tuple((kind, tried[kind], accepted[kind]) for kind in MUTATION_KINDS),
         findings=tuple(findings),
         findings_truncated=truncated,
     )

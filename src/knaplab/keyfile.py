@@ -101,18 +101,24 @@ def _seq(fields: dict[str, str], name: str) -> tuple[int, ...]:
         raise KeyFileError(f"field {name!r} is not a hex list: {value!r}") from None
 
 
-def parse_key(text: str):
-    """Parse a key file into the matching key dataclass (or KeyParams)."""
+def parse_key(text: str, role: str | None = None):
+    """Parse a key file into the matching key dataclass (or KeyParams).
+
+    Given a role ("public", "secret" or "params"), a file of any other role
+    is refused right after its header, before any key material is built.
+    """
     fields = _parse_fields(text)
     version = _take(fields, "version")
     if version != str(FORMAT_VERSION):
         raise KeyFileError(f"unsupported format version {version!r}")
     scheme = _take(fields, "scheme")
-    role = _take(fields, "role")
+    found = _take(fields, "role")
+    if role is not None and found != role:
+        raise KeyFileError(f"refusing a role={found} file where role={role} is expected")
     if scheme not in SCHEMES:
         raise KeyFileError(f"unknown scheme {scheme!r}")
     try:
-        key = _build(SCHEMES[scheme], role, fields)
+        key = _build(SCHEMES[scheme], found, fields)
     except ValueError as exc:
         if isinstance(exc, KeyFileError):
             raise
@@ -171,9 +177,9 @@ def save_key(path, key) -> None:
         fh.write(serialize_key(key))
 
 
-def load_key(path):
+def load_key(path, role: str | None = None):
     with open(path, "r", encoding="ascii") as fh:
-        return parse_key(fh.read())
+        return parse_key(fh.read(), role)
 
 
 _CIPHERTEXTS = {

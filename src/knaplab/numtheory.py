@@ -276,20 +276,20 @@ _SIEVE_PRIMES = tuple(
 _WINDOW = 4096
 
 
-def gen_safe_prime(bit_length: int, rng: random.Random, rounds: int = 40) -> SafePrimeGroup:
+def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
     """Random safe-prime group with p of exactly ``bit_length`` bits.
 
     Candidates q are stepped along the q = 5 (mod 6) wheel (forced for any
     safe prime above 7) and a window of them is sieved jointly on the q and
     2q+1 lines before Miller-Rabin, which keeps generation fast enough to do
-    per-trial key generation in the experiment harnesses.  ``rounds`` caps
-    the search-phase screening; the returned group is always certified by
-    the SafePrimeGroup constructor (40 rounds on q, a Pocklington proof of p).
+    per-trial key generation in the experiment harnesses.  The search phase
+    screens with 2 Miller-Rabin rounds; the returned group is always certified
+    by the SafePrimeGroup constructor (40 rounds on q, a Pocklington proof of p).
     """
     if bit_length < 4:
         raise ValueError("bit_length must be >= 4")
     qbits = bit_length - 1
-    screen = min(rounds, 2)  # cheap pre-filter; the constructor certifies fully
+    screen = 2  # cheap pre-filter; the constructor certifies fully
     if bit_length <= 16:
         # tiny groups: plain rejection sampling, the window would overshoot
         while True:
@@ -328,9 +328,7 @@ def _primes_with_bits(bits: int) -> tuple[int, ...]:
     return tuple(p for p in _sieve(1 << bits) if p.bit_length() == bits)
 
 
-def gen_prime_sequence(
-    n: int, bits_each: int, rng: random.Random, rounds: int = 40
-) -> PrimeSequence:
+def gen_prime_sequence(n: int, bits_each: int, rng: random.Random) -> PrimeSequence:
     """n distinct primes of exactly ``bits_each`` bits.
 
     Refuses (rather than spinning forever) when fewer than n primes of that
@@ -355,7 +353,7 @@ def gen_prime_sequence(
         if attempts > 10000 * n:
             raise ValueError(f"could not find {n} distinct {bits_each}-bit primes")
         c = rng.randrange(1 << (bits_each - 1), 1 << bits_each) | 1
-        if c not in seen and is_probable_prime(c, rounds, rng):
+        if c not in seen and is_probable_prime(c, 40, rng):
             picked.append(c)
             seen.add(c)
     return PrimeSequence(tuple(picked))

@@ -119,9 +119,16 @@ _BY_TYPE = {
 }
 
 
-def scheme_of(obj) -> Scheme:
-    """The scheme a key or ciphertext belongs to, by its exact type."""
+def scheme_of(obj, ct=None) -> Scheme:
+    """The scheme a key or ciphertext belongs to, by its exact type.
+
+    Given a key and a ciphertext, the ciphertext must belong to the key's
+    scheme too: this is the one check that a ciphertext matches a key.
+    """
     try:
-        return _BY_TYPE[type(obj)]
+        scheme = _BY_TYPE[type(obj)]
     except KeyError:
         raise ParameterError(f"{type(obj).__name__} belongs to no scheme") from None
+    if ct is not None and type(ct) is not scheme.ciphertext:
+        raise ParameterError("ciphertext does not belong to this key")
+    return scheme

@@ -240,3 +240,10 @@ def test_completeness_trials_original_with_coprime_terms_all_unique():
 def test_run_malleation_trials_validates_strategy():
     with pytest.raises(ParameterError):
         games.run_malleation_trials("case3", 5, random.Random(0))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_malleation_trials_needs_at_least_one_trial(trials):
+    for strategy in ("case1", "case2"):
+        with pytest.raises(ParameterError, match="at least one trial"):
+            games.run_malleation_trials(strategy, trials, random.Random(0), n=8, prime_bits=7)

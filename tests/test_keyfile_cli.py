@@ -3,14 +3,16 @@
 import dataclasses
 import decimal
 import io
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knaplab import akleylek, cli, keyfile, modified
+from knaplab import akleylek, attacks, cli, games, keyfile, modified
 from knaplab.keyfile import KeyFileError
+from knaplab.numtheory import BitVector
 
 # --- formats -----------------------------------------------------------------
 
@@ -431,8 +433,6 @@ def test_cli_modified_pipeline_round_trip(tmp_path, capsys):
 
 
 def test_cli_modified_keygen_at_full_size_reloads_consistently(tmp_path):
-    import math
-
     pub = tmp_path / "m.pub"
     sec = tmp_path / "m.sec"
     rc = cli.main(
@@ -560,3 +560,126 @@ def test_cli_mismatched_ciphertext_scheme(toy_files, capsys):
     pub, sec = toy_files
     assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", "1 2 3"]) == 1
     assert cli.main(["attack", "--key", str(pub), "--ciphertext", "1 2 3"]) == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("game", ["malleation-case1", "malleation-case2"])
+def test_cli_game_malleation_needs_at_least_one_trial(game, trials, capsys):
+    argv = ["game", "--game", game, "--scheme", "modified", "--trials", trials, "-n", "8"]
+    assert cli.main(argv + ["--prime-bits", "7", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "need at least one trial" in err
+
+
+# --- one key builder for CLI sizes ---------------------------------------------
+
+KEYGEN_SIZES = {
+    "original-default-bits": (
+        ["--scheme", "original", "-n", "8"],
+        lambda rng: akleylek.keygen(8, games.suggested_modulus_bits(8), rng),
+    ),
+    "original-modulus-bits": (
+        ["--scheme", "original", "-n", "8", "--modulus-bits", "60"],
+        lambda rng: akleylek.keygen(8, 60, rng),
+    ),
+    "original-max-step": (
+        ["--scheme", "original", "-n", "8", "--max-step", "3"],
+        lambda rng: akleylek.keygen(8, games.suggested_modulus_bits(8, 3), rng, max_step=3),
+    ),
+    "original-allow-overflow": (
+        ["--scheme", "original", "-n", "12", "--modulus-bits", "40", "--allow-overflow"],
+        lambda rng: akleylek.keygen(12, 40, rng, enforce_capacity=False),
+    ),
+    "modified-prime-bits": (
+        ["--scheme", "modified", "-n", "8", "--prime-bits", "7"],
+        lambda rng: modified.keygen(8, 7, rng),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYGEN_SIZES))
+def test_cli_keygen_writes_the_library_key_for_each_size_flag(case, tmp_path, capsys):
+    flags, build = KEYGEN_SIZES[case]
+    pub, sec = tmp_path / "k.pub", tmp_path / "k.sec"
+    argv = ["keygen", *flags, "--seed", "11", "--public-out", str(pub), "--secret-out", str(sec)]
+    assert cli.main(argv) == 0
+    want = [keyfile.serialize_key(key) for key in build(random.Random(11))]
+    assert [pub.read_text(), sec.read_text()] == want
+
+
+def test_cli_keygen_refuses_an_overflowing_modulus_without_the_flag(tmp_path, capsys):
+    pub, sec = tmp_path / "k.pub", tmp_path / "k.sec"
+    argv = ["keygen", "--scheme", "original", "-n", "12", "--modulus-bits", "40", "--seed", "11"]
+    assert cli.main(argv + ["--public-out", str(pub), "--secret-out", str(sec)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not pub.exists() and not sec.exists()
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "mitm"])
+def test_cli_bench_rows_come_from_the_original_game_scheme(strategy, capsys):
+    n, weights, seed = 10, (1, 4, 7), 9
+    argv = ["bench", "-n", str(n), "--h-values", "1,4,7", "--strategy", strategy]
+    assert cli.main(argv + ["--seed", str(seed)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    scheme, rng = games.original_game_scheme(n), random.Random(seed)
+    attack = getattr(attacks, f"{strategy}_subset_attack")
+    want = []
+    for h in weights:
+        pk, _ = scheme.keygen(rng)
+        m = BitVector.from_indices(n, rng.sample(range(n), h))
+        report = attack(pk, scheme.encrypt(pk, m, rng))
+        regime = attacks.attack_complexity_profile(n, h).regime
+        want.append(
+            f"{n},{h},{math.comb(n, h)},{report.predicted_bound:.6g},"
+            f"{report.subsets_examined},X,{len(report.candidates)},{regime}"
+        )
+
+    def masked(row):
+        fields = row.split(",")
+        fields[5] = "X"  # elapsed_ms
+        return ",".join(fields)
+
+    assert [masked(row) for row in rows] == want
+
+
+# --- key-file roles --------------------------------------------------------------
+
+
+@pytest.fixture
+def bad_group_key_files(tmp_path):
+    """Modified public and secret key files whose q is composite."""
+    pub_text, sec_text = tiny_modified_key_texts(*BAD_GROUPS["q-composite"])
+    pub, sec = tmp_path / "bad.pub", tmp_path / "bad.sec"
+    pub.write_text(pub_text)
+    sec.write_text(sec_text)
+    return str(pub), str(sec)
+
+
+def test_wrong_role_files_are_refused_before_their_material_is_checked(
+    bad_group_key_files, tmp_path, capsys
+):
+    pub, sec = bad_group_key_files
+    outs = str(tmp_path / "x.pub"), str(tmp_path / "x.sec")
+    commands = [
+        ["decrypt", "--key", pub, "--ciphertext", "1 2 3"],
+        ["encrypt", "--key", sec, "--message", "5"],
+        ["attack", "--key", sec, "--ciphertext", "1 2 3"],
+    ] + [
+        ["keygen", "--scheme", "modified", "--fixed-key", key, "--public-out", outs[0],
+         "--secret-out", outs[1]]
+        for key in (pub, sec)
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "refusing" in err, argv
+        assert "invalid key material" not in err, argv
+    with pytest.raises(KeyFileError, match="refusing"):
+        keyfile.load_key(pub, "secret")
+    with pytest.raises(KeyFileError, match="refusing"):
+        keyfile.load_key(sec, "public")
+    with pytest.raises(KeyFileError, match="invalid key material"):
+        keyfile.load_key(pub, "public")

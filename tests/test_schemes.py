@@ -25,6 +25,17 @@ def test_scheme_of_keys_and_ciphertexts(toy_keypair):
             scheme_of(obj)
 
 
+def test_scheme_of_a_key_and_ciphertext_checks_that_they_match(toy_keypair):
+    pub, sec = toy_keypair
+    mpub, msec = modified.keygen(6, 6, random.Random(1))
+    ct, mct = akleylek.AkleylekCiphertext(1, 1), modified.ModifiedCiphertext(1, 2, 3)
+    assert scheme_of(pub, ct) is scheme_of(sec, ct) is ORIGINAL
+    assert scheme_of(mpub, mct) is scheme_of(msec, mct) is MODIFIED
+    for key, other in ((pub, mct), (sec, mct), (mpub, ct), (msec, ct), (pub, pub.u)):
+        with pytest.raises(ParameterError, match="ciphertext does not belong to this key"):
+            scheme_of(key, other)
+
+
 def test_original_roundtrip_classes_match_the_audit(toy_keypair):
     pub, sec = toy_keypair
     messages = [BitVector.from_int(v, 5) for v in range(1, 32)]

@@ -89,3 +89,31 @@ def test_tracer_tags_parsed_key_files_of_both_schemes_by_role(toy_keypair):
     assert metrics["keyfile.parse_key.public.ms_per_op"] > 0
     assert metrics["keyfile.parse_key.secret.ms_per_op"] > 0
     assert not [span for span in recorded if span[0].endswith(".params")]
+
+
+def test_tracer_reads_a_cli_encrypt_decrypt_round(tmp_path, capsys):
+    """The CLI path cli-roundtrip traces: each key file parsed once, its group certified once."""
+    spans = load_spans()
+    layers = {layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
+    cli = layers["cli"]
+    pub, sec = str(tmp_path / "k.pub"), str(tmp_path / "k.sec")
+    keygen = ["keygen", "--scheme", "modified", "-n", "16", "--prime-bits", "16", "--seed", "3"]
+    assert cli.main(keygen + ["--public-out", pub, "--secret-out", sec]) == 0
+    capsys.readouterr()
+    message = str(random.Random(4).getrandbits(200))
+
+    def op():
+        assert cli.main(["encrypt", "--key", pub, "--message", message, "--seed", "5"]) == 0
+        ct_text = capsys.readouterr().out.strip()
+        assert cli.main(["decrypt", "--key", sec, "--ciphertext", ct_text]) == 0
+        assert capsys.readouterr().out.strip() == message
+
+    metrics, _ = spans.layer_metrics(trace_one_op(spans, layers, op), 1)
+    for name in (
+        "cli.encrypt.ms_per_op",
+        "cli.decrypt.ms_per_op",
+        "keyfile.parse_key.public.ms_per_op",
+        "keyfile.parse_key.secret.ms_per_op",
+    ):
+        assert metrics[name] > 0, name
+    assert metrics["keyfile.parse_key.mr_certify_calls_per_op"] == 2
