@@ -8,13 +8,14 @@ decryption is cryptographically rejected.  Every randomized command accepts
 from __future__ import annotations
 
 import argparse
+import inspect
 import random
 import sys
 
 from . import akleylek, attacks, games, keyfile
 from .errors import ParameterError
 from .numtheory import BitVector
-from .schemes import ORIGINAL, SCHEMES, scheme_of
+from .schemes import MODIFIED, ORIGINAL, SCHEMES, scheme_of
 
 REJECT_TOKEN = "REJECT"
 
@@ -22,9 +23,27 @@ BENCH_HEADER = "n,h,exact,bound,examined,elapsed_ms,candidates"
 GAME_HEADER = "scheme,adversary,trials,wins,advantage,rejections"
 COMPLETENESS_HEADER = "scheme,game,trials,unique,ambiguous,failed"
 
+# keygen/game flags that size a key; the library function each goes to owns its default
+SIZE_FLAGS = ("n", "modulus_bits", "prime_bits", "max_step", "allow_overflow")
+ADVERSARIES = {
+    "distinguisher": games.distinguisher_adversary,
+    "random-guess": games.random_guess_adversary,
+}
+
 
 def _rng(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else random.Random()
+
+
+def _sized(fn, args, *pos):
+    """fn(*pos) with the size flags given, by keyword; a flag fn does not take is refused."""
+    given = {k: v for k in SIZE_FLAGS if (v := getattr(args, k, None)) is not None}
+    params = inspect.signature(fn).parameters
+    for name in given:
+        if name not in params:
+            flag = "-n" if name == "n" else "--" + name.replace("_", "-")
+            raise ParameterError(f"{flag} does not apply: {fn.__name__} takes no {name}")
+    return fn(*pos, **given)
 
 
 def _read_ciphertext(args):
@@ -48,13 +67,12 @@ def cmd_keygen(args) -> int:
             raise ParameterError(
                 f"params file is for scheme {params.scheme!r}, not {args.scheme!r}"
             )
-        pub, sec = SCHEMES[params.scheme].keypair_from_params(
-            params.p, params.g, params.x, params.k, params.terms
-        )
+        build = SCHEMES[params.scheme].keypair_from_params
+        pub, sec = _sized(build, args, params.p, params.g, params.x, params.k, params.terms)
     elif args.n is None:
         raise ParameterError("-n is required unless --fixed-key is given")
     else:
-        pub, sec = _game_scheme(args).keygen(rng)
+        pub, sec = _sized(games.GAME_SCHEMES[args.scheme], args).keygen(rng)
     keyfile.save_key(args.public_out, pub)
     keyfile.save_key(args.secret_out, sec)
     print(f"wrote {args.public_out} and {args.secret_out}")
@@ -117,66 +135,52 @@ def _game_row(scheme: str, adversary: str, res: games.ExperimentResult) -> str:
     )
 
 
-def _game_scheme(args) -> games.GameScheme:
-    """The scheme record whose keygen is bound to the CLI's key sizes."""
-    if args.scheme == "original":
-        return games.original_game_scheme(
-            args.n, args.modulus_bits, args.max_step, enforce_capacity=not args.allow_overflow
-        )
-    return games.modified_game_scheme(args.n, args.prime_bits)
-
-
 def cmd_game(args) -> int:
     rng = _rng(args.seed)
-    if args.game in ("distinguisher", "random-guess"):
-        scheme = _game_scheme(args)
-        adversary = (
-            games.distinguisher_adversary(scheme)
-            if args.game == "distinguisher"
-            else games.random_guess_adversary(scheme)
-        )
-        res = games.run_ind_cca2(scheme, adversary, args.trials, rng)
+    unused = "trials" if args.game == "fuzzer" else "mutations"
+    if getattr(args, unused) is not None:
+        raise ParameterError(f"--{unused} does not apply to the {args.game} game")
+    trials = 1000 if args.trials is None else args.trials
+    if args.game in ADVERSARIES:
+        scheme = _sized(games.GAME_SCHEMES[args.scheme], args)
+        adversary = ADVERSARIES[args.game](scheme)
+        res = games.run_ind_cca2(scheme, adversary, trials, rng)
         print(GAME_HEADER)
         print(_game_row(args.scheme, adversary.name, res))
         return 0
-    if args.game in ("malleation-case1", "malleation-case2"):
-        if args.scheme != "modified":
-            raise ParameterError("malleation games target the modified scheme")
-        strategy = "case1" if args.game.endswith("1") else "case2"
-        res = games.run_malleation_trials(
-            strategy, args.trials, rng, n=args.n, prime_bits=args.prime_bits
+    if args.game == "completeness":
+        scheme = _sized(games.GAME_SCHEMES[args.scheme], args)
+        rep = games.run_completeness_trials(scheme, trials, rng)
+        print(COMPLETENESS_HEADER)
+        print(
+            f"{args.scheme},completeness,{rep.trials},{rep.unique},{rep.ambiguous},{rep.failed}"
         )
+        return 0
+    # the forgery games tamper with the modified ciphertext (C1', C1'', C2)
+    if args.scheme != MODIFIED.name:
+        raise ParameterError(f"the {args.game} game targets the modified scheme")
+    if args.game != "fuzzer":
+        strategy = args.game.removeprefix("malleation-")
+        res = _sized(games.run_malleation_trials, args, strategy, trials, rng)
         print(GAME_HEADER)
         print(_game_row(args.scheme, args.game, res))
         for f in res.findings:
             print(f"finding,trial={f.trial},seed={f.seed},decrypted={f.decrypted}")
         return 0
-    if args.game == "fuzzer":
-        if args.scheme != "modified":
-            raise ParameterError("the mutation fuzzer targets the modified scheme")
-        rep = games.mutation_fuzzer(
-            args.mutations, rng, n=args.n, prime_bits=args.prime_bits
-        )
-        print(GAME_HEADER)
+    mutations = 10000 if args.mutations is None else args.mutations
+    rep = _sized(games.mutation_fuzzer, args, mutations, rng)
+    res = games.ExperimentResult(rep.mutations, rep.acceptances, rep.rejections)
+    print(GAME_HEADER)
+    print(_game_row(args.scheme, "mutation-fuzzer", res))
+    for kind, tried, accepted in rep.by_kind:
+        print(f"kind,{kind},{tried},{accepted}")
+    for f in rep.findings:
         print(
-            f"{args.scheme},mutation-fuzzer,{rep.mutations},{rep.acceptances},"
-            f"{abs(rep.acceptances / rep.mutations - 0.5):.6f},{rep.rejections}"
+            f"finding,index={f.index},kind={f.kind},keypair_seed={f.keypair_seed},"
+            f"decrypted={f.decrypted}"
         )
-        for kind, tried, accepted in rep.by_kind:
-            print(f"kind,{kind},{tried},{accepted}")
-        for f in rep.findings:
-            print(
-                f"finding,index={f.index},kind={f.kind},keypair_seed={f.keypair_seed},"
-                f"decrypted={f.decrypted}"
-            )
-        if rep.findings_truncated:
-            print("finding,truncated=true")
-        return 0
-    rep = games.run_completeness_trials(_game_scheme(args), args.trials, rng)
-    print(COMPLETENESS_HEADER)
-    print(
-        f"{args.scheme},completeness,{rep.trials},{rep.unique},{rep.ambiguous},{rep.failed}"
-    )
+    if rep.findings_truncated:
+        print("finding,truncated=true")
     return 0
 
 
@@ -227,11 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("-n", type=int, default=None, help="number of knapsack positions")
     p.add_argument("--modulus-bits", type=int, default=None)
-    p.add_argument("--prime-bits", type=int, default=8)
-    p.add_argument("--max-step", type=int, default=10)
+    p.add_argument("--prime-bits", type=int, default=None)
+    p.add_argument("--max-step", type=int, default=None)
     p.add_argument(
         "--allow-overflow",
         action="store_true",
+        default=None,
         help="skip the modulus-dominates-product check (original scheme)",
     )
     p.add_argument("--fixed-key", default=None, help="role=params file with p,g,x,k and terms")
@@ -272,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--game",
         choices=(
-            "distinguisher",
-            "random-guess",
+            *ADVERSARIES,
             "malleation-case1",
             "malleation-case2",
             "fuzzer",
@@ -282,14 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--mutations", type=int, default=10000)
-    p.add_argument("-n", type=int, default=16)
-    p.add_argument("--prime-bits", type=int, default=8)
+    p.add_argument("--trials", type=int, default=None, help="default 1000; not for fuzzer")
+    p.add_argument("--mutations", type=int, default=None, help="fuzzer only; default 10000")
+    p.add_argument("-n", type=int, default=None)
+    p.add_argument("--prime-bits", type=int, default=None)
     p.add_argument("--modulus-bits", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    # keys are drawn at keygen's default step and capacity
-    p.set_defaults(fn=cmd_game, max_step=10, allow_overflow=False)
+    p.set_defaults(fn=cmd_game)
 
     p = sub.add_parser("bench", help="attack cost sweep over Hamming weights")
     p.add_argument("-n", type=int, required=True)

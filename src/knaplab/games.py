@@ -10,6 +10,7 @@ replay it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -60,7 +61,8 @@ class GameScheme(Scheme):
 
 def suggested_modulus_bits(n: int, max_step: int = 10) -> int:
     """Modulus size that always dominates a max_step superincreasing product."""
-    import math
+    if max_step < 1:
+        raise ParameterError(f"max_step must be >= 1, got {max_step}")
 
     return math.ceil(n * math.log2(max_step)) + n * (n - 1) // 2 + 3
 
@@ -69,19 +71,23 @@ def original_game_scheme(
     n: int = 16,
     modulus_bits: int | None = None,
     max_step: int = 10,
-    enforce_capacity: bool = True,
+    allow_overflow: bool = False,
 ) -> GameScheme:
     bits = modulus_bits if modulus_bits is not None else suggested_modulus_bits(n, max_step)
     return GameScheme(
         **vars(ORIGINAL),
         keygen=lambda rng: akleylek.keygen(
-            n, bits, rng, max_step=max_step, enforce_capacity=enforce_capacity
+            n, bits, rng, max_step=max_step, enforce_capacity=not allow_overflow
         ),
     )
 
 
 def modified_game_scheme(n: int = 16, prime_bits: int = 8) -> GameScheme:
     return GameScheme(**vars(MODIFIED), keygen=lambda rng: modified.keygen(n, prime_bits, rng))
+
+
+# Key-size builders by scheme name: their parameters are the sizes each scheme takes.
+GAME_SCHEMES = {ORIGINAL.name: original_game_scheme, MODIFIED.name: modified_game_scheme}
 
 
 class DecryptionOracle:
@@ -225,32 +231,23 @@ def run_malleation_trials(
         raise ParameterError(f"unknown strategy {strategy!r}")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    wins = 0
-    rejections = 0
+    scheme = modified_game_scheme(n, prime_bits)
     findings: list[MalleationFinding] = []
     for t in range(trials):
         seed = rng.getrandbits(64)
         trial_rng = random.Random(seed)
-        pk, sk = modified.keygen(n, prime_bits, trial_rng)
-        m = trial_rng.randrange(1, pk.max_message + 1)
-        r = BitVector.from_int(trial_rng.randrange(2, 1 << n), n)
-        challenge = modified.encrypt_with_randomness(pk, m, r)
-        oracle = DecryptionOracle(MODIFIED.decrypt, sk)
+        pk, sk = scheme.keygen(trial_rng)
+        challenge = scheme.encrypt(pk, scheme.sample_message(pk, trial_rng), trial_rng)
+        oracle = DecryptionOracle(scheme.decrypt, sk)
         oracle.set_challenge(challenge)
         if strategy == "case1":
             query = mutate_ciphertext(challenge, "c2", trial_rng, pk.p)
         else:
-            query = malleation_case2(
-                challenge,
-                pk,
-                trial_rng,
-                force_weight=r.weight if force_weight_match else None,
-            )
+            # C1' = s^h, so the challenge randomness weighs h = log_s C1'
+            weight = sk.s_powers.index(challenge.c1_prime) if force_weight_match else None
+            query = malleation_case2(challenge, pk, trial_rng, force_weight=weight)
         answer = oracle.query(query)
-        if answer is None:
-            rejections += 1
-        else:
-            wins += 1
+        if answer is not None:
             findings.append(
                 MalleationFinding(
                     trial=t,
@@ -260,7 +257,10 @@ def run_malleation_trials(
                 )
             )
     return ExperimentResult(
-        trials=trials, wins=wins, rejections=rejections, findings=tuple(findings)
+        trials=trials,
+        wins=len(findings),
+        rejections=trials - len(findings),
+        findings=tuple(findings),
     )
 
 
@@ -318,25 +318,20 @@ def mutation_fuzzer(
     """
     if mutations < 1:
         raise ParameterError("need at least one mutation")
+    scheme = modified_game_scheme(n, prime_bits)
     pool = []
     for _ in range(keypairs):
         seed = rng.getrandbits(64)
-        pk, sk = modified.keygen(n, prime_bits, random.Random(seed))
-        pool.append((seed, pk, sk))
-    rejections = 0
-    tried = dict.fromkeys(MUTATION_KINDS, 0)
+        pool.append((seed, *scheme.keygen(random.Random(seed))))
     accepted = dict.fromkeys(MUTATION_KINDS, 0)
     findings: list[MutationFinding] = []
-    truncated = False
     for i in range(mutations):
         seed, pk, sk = pool[i % len(pool)]
         kind = MUTATION_KINDS[i % len(MUTATION_KINDS)]
-        m = rng.randrange(1, pk.max_message + 1)
-        challenge = modified.encrypt(pk, m, rng)
-        query = mutate_ciphertext(challenge, kind, rng, pk.p)
-        out = modified.decrypt(sk, query)
-        tried[kind] += 1
-        if out.accepted:
+        m = scheme.sample_message(pk, rng)
+        query = mutate_ciphertext(scheme.encrypt(pk, m, rng), kind, rng, pk.p)
+        out = scheme.decrypt(sk, query)
+        if out is not None:
             accepted[kind] += 1
             if len(findings) < MAX_FUZZ_FINDINGS:
                 findings.append(
@@ -346,21 +341,22 @@ def mutation_fuzzer(
                         keypair_seed=seed,
                         message=m,
                         mutated=(query.c1_prime, query.c1_dprime, query.c2),
-                        decrypted=out.message,
+                        decrypted=out,
                     )
                 )
-            else:
-                truncated = True
-        else:
-            rejections += 1
-    total_accepted = sum(accepted.values())
+    acceptances = sum(accepted.values())
+    # the round robin gives kind j the indices j, j + 6, j + 12, ... below mutations
+    stride = len(MUTATION_KINDS)
     return FuzzReport(
         mutations=mutations,
-        rejections=rejections,
-        acceptances=total_accepted,
-        by_kind=tuple((kind, tried[kind], accepted[kind]) for kind in MUTATION_KINDS),
+        rejections=mutations - acceptances,
+        acceptances=acceptances,
+        by_kind=tuple(
+            (kind, len(range(j, mutations, stride)), accepted[kind])
+            for j, kind in enumerate(MUTATION_KINDS)
+        ),
         findings=tuple(findings),
-        findings_truncated=truncated,
+        findings_truncated=acceptances > len(findings),
     )
 
 

@@ -9,6 +9,7 @@ stronger rejection targets cannot be met.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -170,6 +171,32 @@ def test_fuzzer_rejects_everything_that_touches_c1():
     assert tried == 100
     assert accepted == 100  # plain C2 substitution is a valid re-encryption
     assert all(f.kind == "c2" for f in rep.findings)
+
+
+@pytest.mark.parametrize("mutations", [1, 5, 7, 61, 163])
+def test_fuzzer_counts_match_a_recount_of_its_findings(mutations):
+    rep = games.mutation_fuzzer(mutations, random.Random(mutations), n=8, prime_bits=7, keypairs=3)
+    kinds = games.MUTATION_KINDS
+    tried = Counter(kinds[i % len(kinds)] for i in range(mutations))
+    assert [(kind, t) for kind, t, _ in rep.by_kind] == [(kind, tried[kind]) for kind in kinds]
+    accepted = {kind: a for kind, _, a in rep.by_kind}
+    assert rep.acceptances == sum(accepted.values())
+    assert rep.rejections == mutations - rep.acceptances
+    assert len(rep.findings) == min(rep.acceptances, games.MAX_FUZZ_FINDINGS)
+    assert rep.findings_truncated == (rep.acceptances > games.MAX_FUZZ_FINDINGS)
+    assert [f.kind for f in rep.findings] == [kinds[f.index % len(kinds)] for f in rep.findings]
+    if not rep.findings_truncated:
+        assert accepted == {kind: Counter(f.kind for f in rep.findings)[kind] for kind in kinds}
+    if mutations == 163:  # 27 C2 substitutions, all accepted: more than the log keeps
+        assert rep.findings_truncated and accepted["c2"] == 27
+
+
+@pytest.mark.parametrize("max_step", [0, -2])
+def test_a_max_step_below_one_is_refused_before_the_modulus_is_sized(max_step):
+    with pytest.raises(ParameterError, match="max_step"):
+        games.suggested_modulus_bits(8, max_step)
+    with pytest.raises(ParameterError, match="max_step"):
+        games.original_game_scheme(8, max_step=max_step)
 
 
 def test_fuzzer_findings_replay_from_keypair_seed():

@@ -1,7 +1,9 @@
 """Key/ciphertext file formats and the command-line surface."""
 
+import argparse
 import dataclasses
 import decimal
+import inspect
 import io
 import math
 import random
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knaplab import akleylek, attacks, cli, games, keyfile, modified
+from knaplab import akleylek, attacks, cli, games, keyfile, modified, schemes
 from knaplab.keyfile import KeyFileError
 from knaplab.numtheory import BitVector
 
@@ -643,6 +645,193 @@ def test_cli_bench_rows_come_from_the_original_game_scheme(strategy, capsys):
         return ",".join(fields)
 
     assert [masked(row) for row in rows] == want
+
+
+# --- each size flag reaches the one function that takes it ------------------------
+
+REFUSED_SIZE_FLAGS = {
+    "keygen-modified-modulus-bits": (
+        ["keygen", "--scheme", "modified", "-n", "8", "--modulus-bits", "40"], "--modulus-bits"
+    ),
+    "keygen-modified-max-step": (
+        ["keygen", "--scheme", "modified", "-n", "8", "--max-step", "3"], "--max-step"
+    ),
+    "keygen-modified-allow-overflow": (
+        ["keygen", "--scheme", "modified", "-n", "8", "--allow-overflow"], "--allow-overflow"
+    ),
+    "keygen-original-prime-bits": (
+        ["keygen", "--scheme", "original", "-n", "8", "--prime-bits", "3"], "--prime-bits"
+    ),
+    "keygen-fixed-key-n": (
+        ["keygen", "--scheme", "original", "--fixed-key", "PARAMS", "-n", "30"], "-n"
+    ),
+    "game-completeness-modulus-bits": (
+        ["game", "--game", "completeness", "--scheme", "modified", "--trials", "5", "-n", "8",
+         "--modulus-bits", "40"],
+        "--modulus-bits",
+    ),
+    "game-distinguisher-prime-bits": (
+        ["game", "--game", "distinguisher", "--scheme", "original", "--trials", "3", "-n", "8",
+         "--prime-bits", "3"],
+        "--prime-bits",
+    ),
+    "game-malleation-modulus-bits": (
+        ["game", "--game", "malleation-case1", "--scheme", "modified", "--trials", "3",
+         "-n", "8", "--modulus-bits", "40"],
+        "--modulus-bits",
+    ),
+    "game-fuzzer-modulus-bits": (
+        ["game", "--game", "fuzzer", "--scheme", "modified", "--mutations", "6", "-n", "8",
+         "--modulus-bits", "40"],
+        "--modulus-bits",
+    ),
+}
+
+
+def assert_refused(argv, flag, tmp_path, capsys):
+    """Exit 1 with one error line that names flag, no stdout, no key file."""
+    pub, sec = tmp_path / "k.pub", tmp_path / "k.sec"
+    if argv[0] == "keygen":
+        argv = argv + ["--public-out", str(pub), "--secret-out", str(sec)]
+    assert cli.main(argv + ["--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {flag} "), err
+    assert not pub.exists() and not sec.exists()
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SIZE_FLAGS))
+def test_cli_refuses_a_size_flag_the_scheme_or_game_does_not_take(
+    case, toy_params_path, tmp_path, capsys
+):
+    argv, flag = REFUSED_SIZE_FLAGS[case]
+    argv = [str(toy_params_path) if a == "PARAMS" else a for a in argv]
+    assert_refused(argv, flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("max_step", ["0", "-2"])
+def test_cli_keygen_refuses_a_max_step_below_one(max_step, tmp_path, capsys):
+    argv = ["keygen", "--scheme", "original", "-n", "8", "--max-step", max_step]
+    assert_refused(argv, "max_step", tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "game, flag",
+    [("fuzzer", "--trials"), ("completeness", "--mutations"), ("malleation-case2", "--mutations")],
+)
+def test_cli_game_refuses_the_count_flag_it_does_not_read(game, flag, tmp_path, capsys):
+    argv = ["game", "--game", game, "--scheme", "modified", "-n", "8", flag, "5"]
+    assert_refused(argv, flag, tmp_path, capsys)
+
+
+def test_cli_game_applies_each_count_default_to_its_own_game(monkeypatch, capsys):
+    seen = {}
+
+    def completeness(scheme, trials, rng):
+        seen["trials"] = trials
+        return games.CompletenessReport(trials, trials, 0, 0)
+
+    def fuzzer(mutations, rng, *, n=16, prime_bits=8):
+        seen["mutations"] = mutations
+        return games.FuzzReport(mutations, mutations, 0, (), (), False)
+
+    monkeypatch.setattr(games, "run_completeness_trials", completeness)
+    monkeypatch.setattr(games, "mutation_fuzzer", fuzzer)
+    assert cli.main(["game", "--game", "completeness", "--scheme", "original"]) == 0
+    assert cli.main(["game", "--game", "fuzzer", "--scheme", "modified"]) == 0
+    assert seen == {"trials": 1000, "mutations": 10000}
+
+
+def game_row(scheme, adversary, trials, wins, rejections):
+    return f"{scheme},{adversary},{trials},{wins},{abs(wins / trials - 0.5):.6f},{rejections}"
+
+
+def library_game_lines(game, scheme_name, count, rng):
+    """What `knaplab game` should print, from library calls at the builders' defaults."""
+    if game == "completeness":
+        rep = games.run_completeness_trials(games.GAME_SCHEMES[scheme_name](), count, rng)
+        row = f"{scheme_name},completeness,{count},{rep.unique},{rep.ambiguous},{rep.failed}"
+        return [cli.COMPLETENESS_HEADER, row]
+    if game == "fuzzer":
+        rep = games.mutation_fuzzer(count, rng)
+        return [
+            cli.GAME_HEADER,
+            game_row(scheme_name, "mutation-fuzzer", count, rep.acceptances, rep.rejections),
+            *(f"kind,{kind},{tried},{accepted}" for kind, tried, accepted in rep.by_kind),
+            *(
+                f"finding,index={f.index},kind={f.kind},keypair_seed={f.keypair_seed},"
+                f"decrypted={f.decrypted}"
+                for f in rep.findings
+            ),
+        ]
+    if game.startswith("malleation-"):
+        res = games.run_malleation_trials(game.removeprefix("malleation-"), count, rng)
+        return [
+            cli.GAME_HEADER,
+            game_row(scheme_name, game, count, res.wins, res.rejections),
+            *(
+                f"finding,trial={f.trial},seed={f.seed},decrypted={f.decrypted}"
+                for f in res.findings
+            ),
+        ]
+    scheme = games.GAME_SCHEMES[scheme_name]()
+    adversary = getattr(games, f"{game.replace('-', '_')}_adversary")(scheme)
+    res = games.run_ind_cca2(scheme, adversary, count, rng)
+    row = game_row(scheme_name, adversary.name, count, res.wins, res.rejections)
+    return [cli.GAME_HEADER, row]
+
+
+@pytest.mark.parametrize(
+    "game, scheme",
+    [
+        ("distinguisher", "original"),
+        ("random-guess", "modified"),
+        ("completeness", "original"),
+        ("malleation-case1", "modified"),
+        ("malleation-case2", "modified"),
+        ("fuzzer", "modified"),
+    ],
+)
+def test_cli_game_without_size_flags_runs_at_the_builders_defaults(game, scheme, capsys):
+    count_flag, count = ("--mutations", 7) if game == "fuzzer" else ("--trials", 2)
+    argv = ["game", "--game", game, "--scheme", scheme, count_flag, str(count), "--seed", "5"]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert got == library_game_lines(game, scheme, count, random.Random(5))
+
+
+def _subparser(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+NOT_SIZE_FLAGS = {
+    "help", "scheme", "seed", "public_out", "secret_out", "fixed_key", "game", "trials",
+    "mutations",
+}
+
+
+@pytest.mark.parametrize("command", ["keygen", "game"])
+def test_every_size_flag_defaults_to_none_and_is_a_library_parameter(command):
+    # a default restated in the parser, or a builder parameter renamed away
+    # from its flag, would let the CLI and the library disagree on a size
+    sized = (
+        *games.GAME_SCHEMES.values(),
+        games.run_malleation_trials,
+        games.mutation_fuzzer,
+        *(scheme.keypair_from_params for scheme in schemes.SCHEMES.values()),
+    )
+    params = set().union(*(inspect.signature(fn).parameters for fn in sized))
+    sub = _subparser(cli.build_parser(), command)
+    assert not set(cli.SIZE_FLAGS) & set(sub._defaults)
+    for action in sub._actions:
+        if action.dest in NOT_SIZE_FLAGS:
+            continue
+        flag = "/".join(action.option_strings)
+        assert action.dest in cli.SIZE_FLAGS, flag
+        assert action.default is None, flag
+        assert action.dest in params, flag
 
 
 # --- key-file roles --------------------------------------------------------------
