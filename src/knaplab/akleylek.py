@@ -65,15 +65,6 @@ class AuditReport:
     overflow_messages: tuple[BitVector, ...]
     unique_fraction: float
 
-    @property
-    def collision_pairs(self) -> tuple[tuple[BitVector, BitVector], ...]:
-        pairs = []
-        for _, members in self.collision_groups:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs.append((members[i], members[j]))
-        return tuple(pairs)
-
 
 def keygen(
     n: int,

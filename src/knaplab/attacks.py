@@ -27,7 +27,8 @@ from .numtheory import (
 )
 from .schemes import scheme_of
 
-DEFAULT_MAX_LIST_ENTRIES = 1 << 22
+MAX_LIST_ENTRIES = 1 << 22  # MITM memory cap: list entries summed over both halves
+MEDIUM_ENTROPY_THRESHOLD = 0.9  # binary entropy of h/n above which the regime is "medium"
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,7 @@ def _products_by_weight(factors, bits, p: int, first: int, weight_cap: int):
     return masks, products
 
 
-def mitm_subset_attack(
-    pk,
-    ct,
-    split: int | None = None,
-    *,
-    max_list_entries: int = DEFAULT_MAX_LIST_ENTRIES,
-) -> AttackReport:
+def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
     """Meet-in-the-middle over a left/right index split, matched mod p.
 
     The left list holds every subset product over indices [0, split) mod p,
@@ -185,7 +180,7 @@ def mitm_subset_attack(
     integer product before it counts.  The candidate set equals the
     exhaustive attack's; only the cost profile changes.  subsets_examined
     counts list entries, not pairs; the lists hold only subsets of weight
-    <= h, and max_list_entries caps that count.
+    <= h, and MAX_LIST_ENTRIES caps that count.
     """
     start = time.perf_counter()
     n = pk.n
@@ -195,8 +190,8 @@ def mitm_subset_attack(
         raise ParameterError(f"split must lie in [1, {n - 1}]")
     h, target, reduced = _weight_and_target(pk, ct)
     entries = sum(comb(split, w) + comb(n - split, w) for w in range(h + 1))
-    if entries > max_list_entries:
-        raise ParameterError("split exceeds the configured memory cap")
+    if entries > MAX_LIST_ENTRIES:
+        raise ParameterError("split exceeds the memory cap")
     p, u = pk.p, pk.u
     try:
         inverses = [mod_inv(u[j], p) for j in range(split, n)]
@@ -228,18 +223,16 @@ def mitm_subset_attack(
     )
 
 
-def attack_complexity_profile(
-    n: int, h: int, *, medium_entropy_threshold: float = 0.9
-) -> ComplexityProfile:
+def attack_complexity_profile(n: int, h: int) -> ComplexityProfile:
     """Classify n-choose-h against the entropy bound.
 
     "medium" marks the band where the bound approaches 2^n and enumeration
-    stops being realistic; below the threshold the side of n/2 decides
-    between "small" and "large".
+    stops being realistic; below MEDIUM_ENTROPY_THRESHOLD the side of n/2
+    decides between "small" and "large".
     """
     exact = binomial(n, h)
     bound = entropy_bound(n, h)
-    if n > 0 and binary_entropy(h / n) > medium_entropy_threshold:
+    if n > 0 and binary_entropy(h / n) > MEDIUM_ENTROPY_THRESHOLD:
         regime = "medium"
     elif h <= n / 2:
         regime = "small"

@@ -23,8 +23,12 @@ BENCH_HEADER = "n,h,exact,bound,examined,elapsed_ms,candidates"
 GAME_HEADER = "scheme,adversary,trials,wins,advantage,rejections"
 COMPLETENESS_HEADER = "scheme,game,trials,unique,ambiguous,failed"
 
-# keygen/game flags that size a key; the library function each goes to owns its default
-SIZE_FLAGS = ("n", "modulus_bits", "prime_bits", "max_step", "allow_overflow")
+# flags passed by keyword to the one library function that reads them, which owns their default
+ROUTED_FLAGS = ("n", "modulus_bits", "prime_bits", "max_step", "allow_overflow", "split", "limit")
+STRATEGIES = {
+    "exhaustive": attacks.exhaustive_subset_attack,
+    "mitm": attacks.mitm_subset_attack,
+}
 ADVERSARIES = {
     "distinguisher": games.distinguisher_adversary,
     "random-guess": games.random_guess_adversary,
@@ -36,8 +40,8 @@ def _rng(seed: int | None) -> random.Random:
 
 
 def _sized(fn, args, *pos):
-    """fn(*pos) with the size flags given, by keyword; a flag fn does not take is refused."""
-    given = {k: v for k in SIZE_FLAGS if (v := getattr(args, k, None)) is not None}
+    """fn(*pos) with the routed flags given, by keyword; a flag fn does not take is refused."""
+    given = {k: v for k in ROUTED_FLAGS if (v := getattr(args, k, None)) is not None}
     params = inspect.signature(fn).parameters
     for name in given:
         if name not in params:
@@ -91,7 +95,7 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     sk = keyfile.load_key(args.key, "secret")
     ct = _read_ciphertext(args)
-    candidates = scheme_of(sk, ct).decrypt_all(sk, ct, args.limit)
+    candidates = _sized(scheme_of(sk, ct).decrypt_all, args, sk, ct)
     if not candidates:
         print(REJECT_TOKEN)
         return 2
@@ -103,10 +107,7 @@ def cmd_decrypt(args) -> int:
 def cmd_attack(args) -> int:
     pk = keyfile.load_key(args.key, "public")
     ct = _read_ciphertext(args)
-    if args.strategy == "exhaustive":
-        report = attacks.exhaustive_subset_attack(pk, ct)
-    else:
-        report = attacks.mitm_subset_attack(pk, ct, args.split)
+    report = _sized(STRATEGIES[args.strategy], args, pk, ct)
     for m in report.candidates:
         print(m)
     print(BENCH_HEADER)
@@ -211,17 +212,22 @@ def cmd_bench(args) -> int:
         pk, _ = scheme.keygen(rng)
         m = BitVector.from_indices(args.n, rng.sample(range(args.n), h))
         ct = scheme.encrypt(pk, m, rng)
-        if args.strategy == "exhaustive":
-            report = attacks.exhaustive_subset_attack(pk, ct)
-        else:
-            report = attacks.mitm_subset_attack(pk, ct)
+        report = STRATEGIES[args.strategy](pk, ct)
         regime = attacks.attack_complexity_profile(args.n, h).regime
         print(_bench_row(args.n, report) + f",{regime}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 means a decryption was rejected."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="knaplab",
         description="Knapsack/ElGamal cipher lab: keys, attacks, and security games.",
     )
@@ -258,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decrypt", help="decrypt with a secret key")
     p.add_argument("--key", required=True, help="secret key file")
     p.add_argument("--ciphertext", default=None, help="read from stdin when omitted")
-    p.add_argument("--limit", type=int, default=akleylek.DEFAULT_EXHAUSTIVE_LIMIT)
+    p.add_argument("--limit", type=int, default=None, help="original scheme only")
     p.set_defaults(fn=cmd_decrypt)
 
     p = sub.add_parser("attack", help="message recovery from a public key alone")
     p.add_argument("--key", required=True, help="public key file")
     p.add_argument("--ciphertext", default=None, help="read from stdin when omitted")
-    p.add_argument("--strategy", choices=("exhaustive", "mitm"), default="exhaustive")
-    p.add_argument("--split", type=int, default=None)
+    p.add_argument("--strategy", choices=tuple(STRATEGIES), default="exhaustive")
+    p.add_argument("--split", type=int, default=None, help="mitm only")
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("audit", help="census of collisions and modulus overflow")
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="attack cost sweep over Hamming weights")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--h-values", default=None, help="comma-separated weights, default 1..n-1")
-    p.add_argument("--strategy", choices=("exhaustive", "mitm"), default="exhaustive")
+    p.add_argument("--strategy", choices=tuple(STRATEGIES), default="exhaustive")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_bench)
 

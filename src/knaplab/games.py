@@ -30,6 +30,7 @@ MUTATION_KINDS = (
     "c1_dprime+c2",
 )
 MAX_FUZZ_FINDINGS = 25
+FUZZ_KEYPAIRS = 20
 
 
 @dataclass(frozen=True)
@@ -307,20 +308,19 @@ def mutation_fuzzer(
     *,
     n: int = 16,
     prime_bits: int = 8,
-    keypairs: int = 20,
 ) -> FuzzReport:
     """Round-robin single and pairwise component mutations against fresh challenges.
 
-    Key pairs are drawn once and rotated to amortize generation; each
-    mutation gets a fresh message and challenge.  Acceptances are findings,
-    recorded (up to MAX_FUZZ_FINDINGS) with the key seed and concrete values
-    needed to replay them.
+    FUZZ_KEYPAIRS key pairs are drawn once and rotated to amortize
+    generation; each mutation gets a fresh message and challenge.
+    Acceptances are findings, recorded (up to MAX_FUZZ_FINDINGS) with the key
+    seed and concrete values needed to replay them.
     """
     if mutations < 1:
         raise ParameterError("need at least one mutation")
     scheme = modified_game_scheme(n, prime_bits)
     pool = []
-    for _ in range(keypairs):
+    for _ in range(FUZZ_KEYPAIRS):
         seed = rng.getrandbits(64)
         pool.append((seed, *scheme.keygen(random.Random(seed))))
     accepted = dict.fromkeys(MUTATION_KINDS, 0)

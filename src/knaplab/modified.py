@@ -78,10 +78,6 @@ class ModifiedCiphertext:
     c1_dprime: int
     c2: int
 
-    @property
-    def c1(self) -> tuple[int, int]:
-        return (self.c1_prime, self.c1_dprime)
-
 
 class RejectReason(Enum):
     RANDOMNESS_INCONSISTENT = "randomness-inconsistent"

@@ -98,10 +98,6 @@ class BitVector:
             value = (value << 1) | b
         return value
 
-    def support(self) -> tuple[int, ...]:
-        """0-based positions of the set bits."""
-        return tuple(j for j, b in enumerate(self.bits) if b)
-
     def __len__(self) -> int:
         return len(self.bits)
 

@@ -37,7 +37,7 @@ class Scheme:
     sequence_field: str  # its attribute and key-file field name
     keypair_from_params: Callable  # (p, g, x, k, terms) -> (pk, sk)
     encrypt: Callable  # (pk, m, rng) -> ciphertext
-    decrypt_all: Callable  # (sk, ct, limit) -> tuple of messages
+    decrypt_all: Callable  # (sk, ct) -> tuple of messages; original also takes limit
     parse_message: Callable  # (CLI text) -> message
     sample_message: Callable  # (pk, rng) -> uniformly drawn valid message
     reduced: bool  # ciphertext components are reduced mod p
@@ -50,11 +50,11 @@ class Scheme:
         None is the single error symbol, so an oracle built on this cannot
         leak which internal check fired.
         """
-        got = self.decrypt_all(sk, ct, akleylek.DEFAULT_EXHAUSTIVE_LIMIT)
+        got = self.decrypt_all(sk, ct)
         return got[0] if len(got) == 1 else None
 
     def classify_roundtrip(self, sk, ct, m_true) -> str:
-        got = self.decrypt_all(sk, ct, akleylek.DEFAULT_EXHAUSTIVE_LIMIT)
+        got = self.decrypt_all(sk, ct)
         if m_true not in got:
             return "failed"
         return "unique" if len(got) == 1 else "ambiguous"
@@ -71,7 +71,11 @@ def _parse_int(text: str) -> int:
     return int(text, 16) if text.lower().startswith("0x") else int(text, 10)
 
 
-def _modified_decrypt_all(sk, ct, limit):
+def _original_decrypt_all(sk, ct, limit=akleylek.DEFAULT_EXHAUSTIVE_LIMIT):
+    return akleylek.decrypt_all(sk, ct, exhaustive_limit=limit)
+
+
+def _modified_decrypt_all(sk, ct):
     out = modified.decrypt(sk, ct)
     return (out.message,) if out.accepted else ()
 
@@ -85,7 +89,7 @@ ORIGINAL = Scheme(
     sequence_field="a",
     keypair_from_params=akleylek.keypair_from_params,
     encrypt=lambda pk, m, rng: akleylek.encrypt(pk, m),
-    decrypt_all=lambda sk, ct, limit: akleylek.decrypt_all(sk, ct, exhaustive_limit=limit),
+    decrypt_all=_original_decrypt_all,
     parse_message=BitVector.from_string,
     sample_message=lambda pk, rng: BitVector.from_int(rng.randrange(1, 1 << pk.n), pk.n),
     reduced=False,

@@ -164,7 +164,6 @@ def test_audit_of_toy_key_lists_known_failures(toy_keypair):
     assert {BitVector.from_string("01001"), BitVector.from_string("00110")} <= members
     assert BitVector.from_string("01111") in report.overflow_messages
     assert report.unique_fraction == 25 / 32
-    assert report.collision_pairs  # pair expansion is non-empty
 
 
 def test_audit_counts_every_same_product_pair(toy_keypair):

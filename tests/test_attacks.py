@@ -158,8 +158,12 @@ def test_mitm_validates_split_and_memory_cap(toy_keypair):
         attacks.mitm_subset_attack(pub, ct, split=0)
     with pytest.raises(ParameterError):
         attacks.mitm_subset_attack(pub, ct, split=5)
-    with pytest.raises(ParameterError):
-        attacks.mitm_subset_attack(pub, ct, split=2, max_list_entries=8)
+    # weight 12 of 46: each half's lists of weight <= 12 hold 2^22 + C(23, 12) entries
+    n = 46
+    big = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=tuple(range(2, n + 2)))
+    heavy = akleylek.encrypt(big, BitVector.from_indices(n, range(12)))
+    with pytest.raises(ParameterError, match="memory cap"):
+        attacks.mitm_subset_attack(big, heavy)
 
 
 def test_mitm_memory_cap_counts_only_subsets_of_weight_at_most_h():
@@ -400,14 +404,6 @@ def test_complexity_profile_regimes():
 
     prof = attacks.attack_complexity_profile(40, 37)
     assert prof.regime == "large"
-
-
-def test_complexity_profile_threshold_is_configurable():
-    assert attacks.attack_complexity_profile(20, 6).regime == "small"
-    assert (
-        attacks.attack_complexity_profile(20, 6, medium_entropy_threshold=0.5).regime
-        == "medium"
-    )
 
 
 def test_examined_counts_obey_the_entropy_chain():

@@ -160,7 +160,7 @@ def test_malleation_case2_trials_also_accepted():
 
 
 def test_fuzzer_rejects_everything_that_touches_c1():
-    rep = games.mutation_fuzzer(600, random.Random(15), n=12, prime_bits=8, keypairs=4)
+    rep = games.mutation_fuzzer(600, random.Random(15), n=12, prime_bits=8)
     assert rep.mutations == 600
     assert rep.acceptances + rep.rejections == 600
     by_kind = dict((kind, (tried, accepted)) for kind, tried, accepted in rep.by_kind)
@@ -175,7 +175,7 @@ def test_fuzzer_rejects_everything_that_touches_c1():
 
 @pytest.mark.parametrize("mutations", [1, 5, 7, 61, 163])
 def test_fuzzer_counts_match_a_recount_of_its_findings(mutations):
-    rep = games.mutation_fuzzer(mutations, random.Random(mutations), n=8, prime_bits=7, keypairs=3)
+    rep = games.mutation_fuzzer(mutations, random.Random(mutations), n=8, prime_bits=7)
     kinds = games.MUTATION_KINDS
     tried = Counter(kinds[i % len(kinds)] for i in range(mutations))
     assert [(kind, t) for kind, t, _ in rep.by_kind] == [(kind, tried[kind]) for kind in kinds]
@@ -200,7 +200,7 @@ def test_a_max_step_below_one_is_refused_before_the_modulus_is_sized(max_step):
 
 
 def test_fuzzer_findings_replay_from_keypair_seed():
-    rep = games.mutation_fuzzer(60, random.Random(16), n=10, prime_bits=8, keypairs=3)
+    rep = games.mutation_fuzzer(60, random.Random(16), n=10, prime_bits=8)
     for finding in rep.findings[:3]:
         _, sk = modified.keygen(10, 8, random.Random(finding.keypair_seed))
         out = modified.decrypt(sk, modified.ModifiedCiphertext(*finding.mutated))

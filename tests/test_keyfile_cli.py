@@ -434,6 +434,17 @@ def test_cli_modified_pipeline_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == ct_text
 
 
+def test_cli_modified_round_trip_with_primes_too_large_to_sieve(tmp_path, capsys):
+    pub, sec = tmp_path / "m.pub", tmp_path / "m.sec"
+    argv = ["keygen", "--scheme", "modified", "-n", "3", "--prime-bits", "24", "--seed", "1"]
+    assert cli.main(argv + ["--public-out", str(pub), "--secret-out", str(sec)]) == 0
+    capsys.readouterr()
+    assert cli.main(["encrypt", "--key", str(pub), "--message", "4242", "--seed", "3"]) == 0
+    ct_text = capsys.readouterr().out.strip()
+    assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", ct_text]) == 0
+    assert capsys.readouterr().out.strip() == "4242"
+
+
 def test_cli_modified_keygen_at_full_size_reloads_consistently(tmp_path):
     pub = tmp_path / "m.pub"
     sec = tmp_path / "m.sec"
@@ -556,6 +567,62 @@ def test_cli_errors_exit_one(toy_files, capsys):
     assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", "junk"]) == 1
     assert cli.main(["encrypt", "--key", str(pub), "--message", "0abc"]) == 1
     assert cli.main(["decrypt", "--key", "/nonexistent", "--ciphertext", "1 2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["keygen", "--scheme", "original"], 1),
+        (["game", "--game", "completeness", "--scheme", "original", "--max-step", "3"], 1),
+    ],
+)
+def test_cli_usage_errors_exit_one_and_help_exits_zero(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+
+
+# argv placeholders: OUT is a fresh output path, TOY_BAD_S the toy public key
+# with one s entry changed, MODIFIED_SEC a modified secret key file
+REFUSED_INPUTS = {
+    "keygen-without-n-or-fixed-key": (
+        ["keygen", "--scheme", "original", "--public-out", "OUT", "--secret-out", "OUT"],
+        "-n is required",
+    ),
+    "audit-modified-key": (["audit", "--key", "MODIFIED_SEC"], "original-scheme"),
+    "encrypt-unequal-s": (
+        ["encrypt", "--key", "TOY_BAD_S", "--message", "01001"], "s components must be equal"
+    ),
+    "distinguisher-no-trials": (
+        ["game", "--game", "distinguisher", "--scheme", "original", "--trials", "0"],
+        "need at least one trial",
+    ),
+    "completeness-no-trials": (
+        ["game", "--game", "completeness", "--scheme", "original", "--trials", "0"],
+        "need at least one trial",
+    ),
+    "fuzzer-no-mutations": (
+        ["game", "--game", "fuzzer", "--scheme", "modified", "--mutations", "0"],
+        "need at least one mutation",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_cli_refusals_print_one_error_line_and_nothing_else(case, toy_files, tmp_path, capsys):
+    argv, message = REFUSED_INPUTS[case]
+    bad_s = tmp_path / "bad-s.pub"
+    bad_s.write_text(toy_files[0].read_text().replace("s=68,68,68,68,68", "s=68,68,68,68,69"))
+    modified_sec = tmp_path / "m.sec"
+    modified_sec.write_text(tiny_modified_key_texts(23, 5)[1])
+    paths = {"OUT": tmp_path / "out", "TOY_BAD_S": bad_s, "MODIFIED_SEC": modified_sec}
+    assert cli.main([str(paths.get(a, a)) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+    assert not paths["OUT"].exists()
 
 
 def test_cli_mismatched_ciphertext_scheme(toy_files, capsys):
@@ -710,6 +777,27 @@ def test_cli_refuses_a_size_flag_the_scheme_or_game_does_not_take(
     assert_refused(argv, flag, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("flag", ["--split", "--limit"])
+def test_cli_refuses_a_flag_the_chosen_strategy_or_scheme_does_not_take(
+    flag, toy_files, tmp_path, capsys
+):
+    if flag == "--split":  # the default strategy is exhaustive
+        argv = ["attack", "--key", str(toy_files[0]), "--ciphertext", "10816 372020"]
+    else:  # a modified-scheme key
+        pub, sec = tmp_path / "m.pub", tmp_path / "m.sec"
+        keygen = ["keygen", "--scheme", "modified", "-n", "8", "--prime-bits", "7", "--seed", "3"]
+        assert cli.main(keygen + ["--public-out", str(pub), "--secret-out", str(sec)]) == 0
+        capsys.readouterr()
+        assert cli.main(["encrypt", "--key", str(pub), "--message", "77", "--seed", "1"]) == 0
+        argv = ["decrypt", "--key", str(sec), "--ciphertext", capsys.readouterr().out.strip()]
+    assert cli.main(argv + [flag, "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {flag} "), err
+    assert cli.main(argv) == 0
+
+
 @pytest.mark.parametrize("max_step", ["0", "-2"])
 def test_cli_keygen_refuses_a_max_step_below_one(max_step, tmp_path, capsys):
     argv = ["keygen", "--scheme", "original", "-n", "8", "--max-step", max_step]
@@ -801,35 +889,44 @@ def test_cli_game_without_size_flags_runs_at_the_builders_defaults(game, scheme,
     assert got == library_game_lines(game, scheme, count, random.Random(5))
 
 
-def _subparser(parser, command):
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-NOT_SIZE_FLAGS = {
-    "help", "scheme", "seed", "public_out", "secret_out", "fixed_key", "game", "trials",
-    "mutations",
+CLI_OWNED_FLAGS = {
+    "help", "key", "ciphertext", "message", "seed", "scheme", "game", "strategy", "public_out",
+    "secret_out", "fixed_key", "h_values", "trials", "mutations",
+}
+# the library functions each subcommand passes its other flags to
+ROUTES = {
+    "keygen": (
+        *games.GAME_SCHEMES.values(),
+        *(scheme.keypair_from_params for scheme in schemes.SCHEMES.values()),
+    ),
+    "encrypt": (),
+    "decrypt": tuple(scheme.decrypt_all for scheme in schemes.SCHEMES.values()),
+    "attack": tuple(cli.STRATEGIES.values()),
+    "audit": (),
+    "game": (*games.GAME_SCHEMES.values(), games.run_malleation_trials, games.mutation_fuzzer),
+    "bench": (games.original_game_scheme,),
 }
 
 
-@pytest.mark.parametrize("command", ["keygen", "game"])
+@pytest.mark.parametrize("command", sorted(ROUTES))
 def test_every_size_flag_defaults_to_none_and_is_a_library_parameter(command):
-    # a default restated in the parser, or a builder parameter renamed away
-    # from its flag, would let the CLI and the library disagree on a size
-    sized = (
-        *games.GAME_SCHEMES.values(),
-        games.run_malleation_trials,
-        games.mutation_fuzzer,
-        *(scheme.keypair_from_params for scheme in schemes.SCHEMES.values()),
-    )
-    params = set().union(*(inspect.signature(fn).parameters for fn in sized))
-    sub = _subparser(cli.build_parser(), command)
-    assert not set(cli.SIZE_FLAGS) & set(sub._defaults)
+    # a default restated in the parser, or a library parameter renamed away
+    # from its flag, would let the CLI and the library disagree on a value
+    subparsers = _subparsers(cli.build_parser())
+    assert set(ROUTES) == set(subparsers)
+    params = set().union(*(inspect.signature(fn).parameters for fn in ROUTES[command]))
+    sub = subparsers[command]
+    owned = CLI_OWNED_FLAGS | ({"limit"} if command == "audit" else set())
+    assert not set(cli.ROUTED_FLAGS) & set(sub._defaults)
     for action in sub._actions:
-        if action.dest in NOT_SIZE_FLAGS:
+        if action.dest in owned:
             continue
         flag = "/".join(action.option_strings)
-        assert action.dest in cli.SIZE_FLAGS, flag
+        assert action.dest in cli.ROUTED_FLAGS, flag
         assert action.default is None, flag
         assert action.dest in params, flag
 

@@ -244,6 +244,17 @@ def test_gen_prime_sequence_distinct_real_primes():
         assert trial_division_is_prime(p)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_gen_prime_sequence_above_the_sieve_limit_draws_distinct_primes(seed):
+    # past 20 bits the primes are drawn and tested one by one, not sampled from a sieve
+    seq = gen_prime_sequence(3, 24, random.Random(seed))
+    assert len(set(seq.primes)) == 3
+    for p in seq.primes:
+        assert p.bit_length() == 24
+        assert trial_division_is_prime(p)
+    assert gen_prime_sequence(3, 24, random.Random(seed)) == seq
+
+
 def test_gen_superincreasing_invariant_over_many_draws():
     for seed in range(1000):
         seq = gen_superincreasing(6, random.Random(seed))
@@ -369,7 +380,6 @@ def test_bitvector_string_and_int_round_trip():
     assert bv.as_int == 9
     assert BitVector.from_int(9, 5) == bv
     assert bv.weight == 2
-    assert bv.support() == (1, 4)
 
 
 @given(st.integers(min_value=1, max_value=20), st.data())

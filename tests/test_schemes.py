@@ -62,7 +62,7 @@ def test_modified_decrypt_collapses_rejections_to_none():
     assert MODIFIED.decrypt(sec, ct) == m0
     assert MODIFIED.classify_roundtrip(sec, ct, m0) == "unique"
     tampered = modified.ModifiedCiphertext(ct.c1_prime, ct.c1_dprime + 1, ct.c2)
-    assert MODIFIED.decrypt_all(sec, tampered, 0) == ()
+    assert MODIFIED.decrypt_all(sec, tampered) == ()
     assert MODIFIED.decrypt(sec, tampered) is None
     assert MODIFIED.classify_roundtrip(sec, tampered, m0) == "failed"
     assert MODIFIED.parse_message("0x1e240") == MODIFIED.parse_message("123456") == 123456
