@@ -28,6 +28,7 @@ from .numtheory import (
 from .schemes import scheme_of
 
 MAX_LIST_ENTRIES = 1 << 22  # MITM memory cap: list entries summed over both halves
+FILTER_MODULUS = 1073741789  # largest prime below 2^30: one CPython digit per residue
 MEDIUM_ENTROPY_THRESHOLD = 0.9  # binary entropy of h/n above which the regime is "medium"
 
 
@@ -166,21 +167,28 @@ def _products_by_weight(factors, bits, p: int, first: int, weight_cap: int):
 
 
 def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
-    """Meet-in-the-middle over a left/right index split, matched mod p.
+    """Meet-in-the-middle over a left/right index split, matched mod a prime q.
 
-    The left list holds every subset product over indices [0, split) mod p,
+    The left list holds every subset product over indices [0, split) mod q,
     keyed by weight.  The right list starts at the target and multiplies in
     the precomputed inverses of u_split..u_(n-1), so a right subset R of
-    weight w holds target / prod(u_R) mod p, which is exactly the product a
+    weight w holds target / prod(u_R) mod q, which is exactly the product a
     left subset of weight h - w must have.  Each weight pair is matched by
     intersecting the two sets of products; only on a hit are both lists
     filtered, so every left and every right subset sharing a hit product
-    is paired.  For an unreduced target the congruence is only a filter:
-    every exact solution satisfies it, and each hit is confirmed by its
-    integer product before it counts.  The candidate set equals the
-    exhaustive attack's; only the cost profile changes.  subsets_examined
-    counts list entries, not pairs; the lists hold only subsets of weight
-    <= h, and MAX_LIST_ENTRIES caps that count.
+    is paired.
+
+    A target reduced mod p (C1'' of the hardened scheme) is matched with
+    q = p, where the congruence is the whole equation.  An unreduced
+    target is an exact integer product, so there the congruence is only a
+    filter and q = FILTER_MODULUS, whose residues each fit one CPython
+    digit.  Every exact solution passes it while no u_i is a multiple of
+    q, and each hit is confirmed by its integer product before it counts.
+    A key with such a u_i falls back to q = p, where a right-half u_j with
+    no inverse mod p is refused.  The candidate set equals the exhaustive
+    attack's; only the cost profile changes.  subsets_examined counts list
+    entries, not pairs; the lists hold only subsets of weight <= h, and
+    MAX_LIST_ENTRIES caps that count.
     """
     start = time.perf_counter()
     n = pk.n
@@ -192,14 +200,15 @@ def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
     entries = sum(comb(split, w) + comb(n - split, w) for w in range(h + 1))
     if entries > MAX_LIST_ENTRIES:
         raise ParameterError("split exceeds the memory cap")
-    p, u = pk.p, pk.u
+    u = pk.u
+    q = pk.p if reduced or not all(x % FILTER_MODULUS for x in u) else FILTER_MODULUS
     try:
-        inverses = [mod_inv(u[j], p) for j in range(split, n)]
+        inverses = [mod_inv(u[j], q) for j in range(split, n)]
     except ValueError:
         raise ParameterError("a public u_i is not invertible mod p") from None
     bits = [1 << (n - 1 - j) for j in range(n)]  # masks are BitVector.from_int values
-    left_masks, left = _products_by_weight(u[:split], bits[:split], p, 1, h)
-    right_masks, right = _products_by_weight(inverses, bits[split:], p, target, h)
+    left_masks, left = _products_by_weight([x % q for x in u[:split]], bits[:split], q, 1, h)
+    right_masks, right = _products_by_weight(inverses, bits[split:], q, target, h)
     found = []
     for w, want in enumerate(right):
         have = left[h - w]

@@ -46,8 +46,19 @@ def _sized(fn, args, *pos):
     for name in given:
         if name not in params:
             flag = "-n" if name == "n" else "--" + name.replace("_", "-")
-            raise ParameterError(f"{flag} does not apply: {fn.__name__} takes no {name}")
+            raise ParameterError(f"{flag} does not apply to {_choice(fn, args)}")
     return fn(*pos, **given)
+
+
+def _choice(fn, args) -> str:
+    """The user's choice that picked fn, as a refusal names it."""
+    if getattr(args, "fixed_key", None) is not None:
+        return "--fixed-key"
+    for flag in ("strategy", "scheme"):
+        if (value := getattr(args, flag, None)) is not None:
+            return f"--{flag} {value}"
+    # decrypt: the key file picked the scheme
+    return next(f"{s.name}-scheme keys" for s in SCHEMES.values() if fn is s.decrypt_all)
 
 
 def _read_ciphertext(args):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from knaplab import akleylek, attacks, cli, games, keyfile, modified
 from knaplab.errors import MalformedCiphertext, ParameterError
-from knaplab.numtheory import BitVector, binomial, entropy_bound, gen_safe_prime
+from knaplab.numtheory import (
+    BitVector,
+    binomial,
+    entropy_bound,
+    gen_safe_prime,
+    is_probable_prime,
+)
 
 
 def brute_force_preimages(pk, ct):
@@ -217,8 +223,25 @@ def test_mitm_refuses_a_hand_edited_key_with_a_non_invertible_u():
     pub = keyfile.parse_key(text)
     ct = akleylek.AkleylekCiphertext(2, 3)
     assert attacks.exhaustive_subset_attack(pub, ct).candidates == (BitVector((0, 1)),)
+    # the unreduced target is filtered mod FILTER_MODULUS, where 4 and 3 are invertible
+    assert attacks.mitm_subset_attack(pub, ct, split=1).candidates == (BitVector((0, 1)),)
+    # a right-half u_j that is a multiple of the filter prime forces matching mod p,
+    # and 3 * FILTER_MODULUS has no inverse mod p = 5 * FILTER_MODULUS
+    q = attacks.FILTER_MODULUS
+    fields = [("n", "2"), ("p", f"{5 * q:x}"), ("s", "2,2"), ("u", f"4,{3 * q:x}")]
+    pub = keyfile.parse_key(keyfile._emit("original", "public", fields))
+    ct = akleylek.AkleylekCiphertext(2, 3 * q)
+    assert attacks.exhaustive_subset_attack(pub, ct).candidates == (BitVector((0, 1)),)
     with pytest.raises(ParameterError):
         attacks.mitm_subset_attack(pub, ct, split=1)
+
+
+def test_filter_modulus_is_the_largest_30_bit_prime():
+    # one CPython digit per residue, and every u_i it does not divide is invertible mod it
+    q = attacks.FILTER_MODULUS
+    assert q.bit_length() == 30
+    assert is_probable_prime(q)
+    assert not any(is_probable_prime(v) for v in range(q + 1, 1 << 30))
 
 
 def _with_multiples(rng, values, bound):
@@ -364,11 +387,46 @@ def test_every_search_agrees_with_the_reference_on_targets_built_to_miss(data):
         assert attacks.mitm_subset_attack(pk, ct, split).candidates == expected
 
 
+def test_mitm_confirms_every_filter_hit_by_its_integer_product():
+    # u_(j+1) = u_j + FILTER_MODULUS: every pair is congruent mod the filter
+    # prime, so each weight-h product collides mod it with up to 2^h others.
+    q = attacks.FILTER_MODULUS
+    rng = random.Random(7)
+    base = rng.sample(range(2, 60), 5)
+    u = [v for b in base for v in (b, b + q)]
+    n = len(u)
+    pk = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=tuple(u))
+    for h in (1, 2, 3, 5):
+        for _ in range(3):
+            chosen = prod(rng.sample(u, h))
+            # the second target is congruent to a product mod q but none over the integers
+            for target in (chosen, chosen + q * prod(base)):
+                ct = akleylek.AkleylekCiphertext(3**h, target)
+                expected = reference_candidates(u, h, target)
+                assert bool(expected) == (target == chosen)
+                assert attacks.exhaustive_subset_attack(pk, ct).candidates == expected
+                for split in range(1, n):
+                    assert attacks.mitm_subset_attack(pk, ct, split).candidates == expected
+
+
+def test_mitm_falls_back_to_p_when_a_u_is_a_multiple_of_the_filter_prime():
+    q = attacks.FILTER_MODULUS
+    u = [5, 7, 11, 13, 17, 3 * q]  # the last index is right of every split
+    n = len(u)
+    pk = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=tuple(u))
+    for chosen in ([5], [0, 5], [1, 2, 5], [0, 3, 4], [0, 1, 2, 3, 4, 5]):
+        ct = akleylek.encrypt(pk, BitVector.from_indices(n, chosen))
+        expected = attacks.exhaustive_subset_attack(pk, ct).candidates
+        assert expected == reference_candidates(u, len(chosen), ct.c2)
+        for split in range(1, n):
+            assert attacks.mitm_subset_attack(pk, ct, split).candidates == expected
+
+
 def test_mitm_inverts_once_per_right_index_and_lists_every_subset(monkeypatch):
     calls = []
 
     def counting_mod_inv(a, modulus):
-        calls.append(a)
+        calls.append((a, modulus))
         return pow(a, -1, modulus)
 
     monkeypatch.setattr(attacks, "mod_inv", counting_mod_inv)
@@ -385,6 +443,9 @@ def test_mitm_inverts_once_per_right_index_and_lists_every_subset(monkeypatch):
                 report = attacks.mitm_subset_attack(pk, ct, split)
                 assert r in report.candidates
                 assert len(calls) <= 12 - split
+                # an unreduced C2 is filtered mod the 30-bit prime, a reduced C1'' mod p
+                filtered = attacks.FILTER_MODULUS if pk is orig_pk else pk.p
+                assert {modulus for _, modulus in calls} == {filtered}
                 listed = sum(comb(split, w) + comb(12 - split, w) for w in range(h + 1))
                 assert report.subsets_examined == listed
 

@@ -7,6 +7,7 @@ import inspect
 import io
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -783,7 +784,9 @@ def test_cli_refuses_a_flag_the_chosen_strategy_or_scheme_does_not_take(
 ):
     if flag == "--split":  # the default strategy is exhaustive
         argv = ["attack", "--key", str(toy_files[0]), "--ciphertext", "10816 372020"]
+        choice = "--strategy exhaustive"
     else:  # a modified-scheme key
+        choice = "modified-scheme keys"
         pub, sec = tmp_path / "m.pub", tmp_path / "m.sec"
         keygen = ["keygen", "--scheme", "modified", "-n", "8", "--prime-bits", "7", "--seed", "3"]
         assert cli.main(keygen + ["--public-out", str(pub), "--secret-out", str(sec)]) == 0
@@ -795,6 +798,8 @@ def test_cli_refuses_a_flag_the_chosen_strategy_or_scheme_does_not_take(
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {flag} "), err
+    assert choice in err, err  # the refusal names what the user chose
+    assert not re.search(r"(?<!\w)_\w", err), err  # and no private helper
     assert cli.main(argv) == 0
 
 
