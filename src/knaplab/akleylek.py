@@ -100,7 +100,7 @@ def keypair_from_params(
     p: int, g: int, x: int, k: int, a_terms
 ) -> tuple[AkleylekPublicKey, AkleylekSecretKey]:
     """Rebuild the key pair from fixed components (fixture keys, test vectors)."""
-    group = SafePrimeGroup(p, (p - 1) // 2, g)
+    group = SafePrimeGroup(p, g)
     a = SuperIncreasingSeq(tuple(a_terms))
     return assemble(AkleylekPublicKey, AkleylekSecretKey, group, x, k, a)
 
@@ -148,8 +148,6 @@ def decrypt_all(
         d = decrypt_d(sk, ct)
     except (MalformedCiphertext, ValueError):
         return ()
-    if h == 0:
-        return (BitVector((0,) * n),) if d == 1 else ()
     terms = sk.a.terms
     found: list[BitVector] = []
 

@@ -168,7 +168,7 @@ def _build(scheme: Scheme, role: str, fields: dict[str, str]):
     else:
         raise KeyFileError(f"unknown role {role!r}")
     if scheme.certifies_group:
-        SafePrimeGroup(key.p, key.q, generator)
+        SafePrimeGroup(key.p, generator)
     return key
 
 

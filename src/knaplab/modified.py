@@ -5,8 +5,8 @@ pairwise-coprime primes (so the receiver's subset problem has a unique,
 divisibility-checkable answer), ciphertext components are reduced mod p, and
 the message rides in a separate component C2 = (m + h)^r' keyed by the
 encryption randomness r rather than being the knapsack payload itself.
-Decryption first recovers r from C1, then re-derives C1 as an honest
-encryptor would have produced it and rejects on mismatch.
+Decryption first recovers r from C1, then rejects unless C1 is what an
+honest encryptor would have sent with that r.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .numtheory import is_probable_prime  # noqa: F401
 
 
 class ModifiedPublicKey(DisguisedPublicKey):
-    @property
-    def q(self) -> int:
-        return (self.p - 1) // 2
-
     @property
     def max_message(self) -> int:
         return self.p - self.n - 1
@@ -140,7 +136,7 @@ def keygen(
 def keypair_from_params(
     p: int, g: int, x: int, k: int, prime_terms
 ) -> tuple[ModifiedPublicKey, ModifiedSecretKey]:
-    group = SafePrimeGroup(p, (p - 1) // 2, g)
+    group = SafePrimeGroup(p, g)
     primes = PrimeSequence(tuple(prime_terms))
     return assemble(ModifiedPublicKey, ModifiedSecretKey, group, x, k, primes)
 
@@ -181,27 +177,29 @@ def encrypt(pk: ModifiedPublicKey, m: int, rng: random.Random) -> ModifiedCipher
 
 def recover_randomness(
     sk: ModifiedSecretKey, c1_prime: int, c1_dprime: int
-) -> tuple[BitVector, int]:
+) -> tuple[BitVector, bool]:
     """Strip the ElGamal mask and factor the survivor over the key primes.
 
     d = C1'' * (C1'^x)^(-1) equals the subset product of the r-selected
     primes for honest ciphertexts; divisibility by each key prime then reads
-    the bits back (their pairwise coprimality makes that sound).
+    the bits back (their pairwise coprimality makes that sound), and whether
+    the selected primes multiply to exactly d.
     """
     d = sk.unmask(c1_prime, c1_dprime)
     if d == 0:
         raise MalformedCiphertext("C1'' shares a factor with the modulus")
-    r_hat, _ = solve_coprime_subset_product(sk.primes, d)
-    return r_hat, r_hat.weight
+    return solve_coprime_subset_product(sk.primes, d)
 
 
 def decrypt(sk: ModifiedSecretKey, ct: ModifiedCiphertext) -> DecryptOutcome:
-    """Recover r from C1, re-derive C1 from it, then unblind m from C2.
+    """Recover r from C1, check C1 against it, then unblind m from C2.
 
-    The consistency check recomputes both C1 components an honest encryptor
-    would have sent with the recovered r: C1' = s^h and C1'' = (y^k)^h times
-    the selected primes.  It is what stops tampering with C1, including the
-    negation C1' -> p - C1', which leaves C1'^x unchanged when x is even.
+    C1 must be what an honest encryptor sends with the recovered r: C1' = s^h
+    and C1'' = (y^k)^h times the selected primes.  Given C1' = s^h, C1'^x is
+    (y^k)^h, so the second equation says d is exactly the selected primes'
+    product (both lie below p): the solver's exactness flag.  The check stops
+    tampering with C1, including the negation C1' -> p - C1', which leaves
+    C1'^x unchanged when x is even.
     C2 needs no check of its own: raising to r' permutes the group, so every
     C2 in [1, p) is the honest C2 of exactly one m + h (see the README).
     A C1' that is none of s^0..s^n can match no s^h, so it is rejected
@@ -214,21 +212,15 @@ def decrypt(sk: ModifiedSecretKey, ct: ModifiedCiphertext) -> DecryptOutcome:
     if ct.c1_prime not in sk.s_powers:
         return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
     try:
-        r_hat, h_hat = recover_randomness(sk, ct.c1_prime, ct.c1_dprime)
+        r_hat, exact = recover_randomness(sk, ct.c1_prime, ct.c1_dprime)
     except (MalformedCiphertext, ValueError):
         return DecryptOutcome.reject(RejectReason.MALFORMED)
-    if r_hat.as_int < 2:
-        # honest encryptors never use the integers 0 or 1 as randomness
-        return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
-    if ct.c1_prime != sk.s_powers[h_hat] or ct.c1_dprime != (
-        pow(sk.mask, h_hat, p)
-        * prod((pi for pi, b in zip(sk.primes, r_hat) if b), start=1)
-        % p
-    ):
+    # honest encryptors never use the integers 0 or 1 as randomness
+    if r_hat.as_int < 2 or not exact or ct.c1_prime != sk.s_powers[r_hat.weight]:
         return DecryptOutcome.reject(RejectReason.RANDOMNESS_INCONSISTENT)
     # r' is odd and below the prime q, hence invertible mod p - 1 = 2q
     w = mod_inv(_parity_adjust(r_hat.as_int), p - 1)
-    m_hat = pow(ct.c2, w, p) - h_hat
+    m_hat = pow(ct.c2, w, p) - r_hat.weight
     if not 1 <= m_hat <= p - sk.n - 1:
         # outside the encryptable range, so no honest ciphertext decodes here
         return DecryptOutcome.reject(RejectReason.MESSAGE_INCONSISTENT)

@@ -177,7 +177,7 @@ class PrimeSequence:
 
 @dataclass(frozen=True)
 class SafePrimeGroup:
-    """p = 2q + 1 with q prime, and g generating all of Z_p^*.
+    """p = 2q + 1 with q prime, and g generating all of Z_p^*; p fixes q.
 
     Constructing one certifies the group (see ``is_safe_prime``); keys built
     from a group, or parsed through one, need no further primality test.
@@ -187,12 +187,13 @@ class SafePrimeGroup:
     """
 
     p: int
-    q: int
     g: int
 
+    @property
+    def q(self) -> int:
+        return (self.p - 1) // 2
+
     def __post_init__(self):
-        if self.p != 2 * self.q + 1:
-            raise ValueError("p must equal 2q + 1")
         if not is_safe_prime(self.p):
             raise ValueError("p must be a safe prime")
         if not 1 < self.g < self.p:
@@ -294,7 +295,7 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
                 continue
             if is_probable_prime(q, screen, rng) and is_probable_prime(2 * q + 1, screen, rng):
                 try:
-                    return SafePrimeGroup(2 * q + 1, q, _find_generator(2 * q + 1, q, rng))
+                    return SafePrimeGroup(2 * q + 1, _find_generator(2 * q + 1, q, rng))
                 except ValueError:
                     continue
     while True:
@@ -314,7 +315,7 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
             if not (is_probable_prime(q, screen, rng) and is_probable_prime(p, screen, rng)):
                 continue
             try:
-                return SafePrimeGroup(p, q, _find_generator(p, q, rng))
+                return SafePrimeGroup(p, _find_generator(p, q, rng))
             except ValueError:
                 continue
 

@@ -134,6 +134,14 @@ def test_decrypt_all_returns_empty_on_garbage_c1(toy_keypair):
     assert akleylek.decrypt_all(sec, akleylek.AkleylekCiphertext(105, 372020)) == ()
 
 
+def test_decrypt_all_reads_c1_of_one_as_weight_zero(toy_keypair):
+    # C1 = 1 = s^0 pins h = 0; the all-zero message decodes iff d = 1
+    _, sec = toy_keypair
+    zero = (BitVector((0,) * 5),)
+    for c2, expected in ((1, zero), (2, ()), (1 + 2579, zero)):
+        assert akleylek.decrypt_all(sec, akleylek.AkleylekCiphertext(1, c2)) == expected, c2
+
+
 def test_keygen_invariants_hold_over_many_seeds():
     for seed in range(100):
         rng = random.Random(seed)

@@ -128,8 +128,8 @@ def test_malleation_case2_swaps_in_fresh_honest_c1():
         query = games.malleation_case2(challenge, pub, rng, force_weight=r.weight)
         assert query.c2 == challenge.c2
         assert (query.c1_prime, query.c1_dprime) != (challenge.c1_prime, challenge.c1_dprime)
-        r_hat, h_hat = modified.recover_randomness(sec, query.c1_prime, query.c1_dprime)
-        assert h_hat == r.weight and r_hat != r
+        r_hat, exact = modified.recover_randomness(sec, query.c1_prime, query.c1_dprime)
+        assert exact and r_hat.weight == r.weight and r_hat != r
 
 
 def test_malleation_trials_measure_acceptance_with_replayable_findings():

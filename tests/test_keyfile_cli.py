@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import decimal
+import hashlib
 import inspect
 import io
 import math
@@ -320,6 +321,25 @@ def test_cli_keygen_is_seed_reproducible(tmp_path):
         assert rc == 0
         outs.append((pub.read_bytes(), sec.read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        # gen_safe_prime's rejection-sampling path (p of at most 16 bits)
+        ("modified -n 2 --prime-bits 4", "860f42264233ad7f027e011c68a04f71e8f5484600c07b5c40d7b32c9bd64172"),
+        ("original -n 3", "a38fafb3fc3481e94964c21922b494a936cdd37904d935a9df42592cd6b9c117"),
+        # its windowed sieve
+        ("modified -n 16 --prime-bits 16", "a33805cb92fd3156b0572904449764468227d3cb280c73482d2bd9a23ab50912"),
+        ("original -n 12", "56c059fea06fe17d443944638d4db239457953626a680c4d5c0a51ee5b7df3b9"),
+    ],
+)
+def test_cli_keygen_seed_zero_writes_the_pinned_secret_key(tmp_path, args, digest):
+    # the same seed must keep giving the same key across versions, not only within one
+    pub, sec = tmp_path / "k.pub", tmp_path / "k.sec"
+    argv = ["keygen", "--scheme", *args.split(), "--seed", "0"]
+    assert cli.main([*argv, "--public-out", str(pub), "--secret-out", str(sec)]) == 0
+    assert hashlib.sha256(sec.read_bytes()).hexdigest() == digest
 
 
 def test_cli_encrypt_prints_toy_ciphertext(toy_files, capsys):

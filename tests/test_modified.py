@@ -58,7 +58,7 @@ def test_keygen_invariants_over_many_seeds():
         assert sec.p > sec.primes.product
         assert math.gcd(sec.k, sec.p - 1) == 1
         s = pub.s_value
-        q = pub.q
+        q = (pub.p - 1) // 2
         assert pow(s, 2, pub.p) != 1 and pow(s, q, pub.p) != 1  # s generates too
         yk = pow(sec.y, sec.k, sec.p)
         assert pub.u == tuple(yk * pi % sec.p for pi in sec.primes)
@@ -133,16 +133,16 @@ def test_recover_randomness_is_exact_for_honest_ciphertexts():
     for r_int in range(2, 256):
         r = BitVector.from_int(r_int, 8)
         ct = encrypt_with_randomness(pub, 99 % pub.max_message + 1, r)
-        r_hat, h_hat = recover_randomness(sec, ct.c1_prime, ct.c1_dprime)
-        assert r_hat == r and h_hat == r.weight
+        r_hat, exact = recover_randomness(sec, ct.c1_prime, ct.c1_dprime)
+        assert r_hat == r and exact is True
 
 
 def test_recover_randomness_all_ones(keypair):
     pub, sec = keypair
     r = BitVector((1,) * pub.n)
     ct = encrypt_with_randomness(pub, 17, r)
-    r_hat, h_hat = recover_randomness(sec, ct.c1_prime, ct.c1_dprime)
-    assert r_hat == r and h_hat == pub.n
+    r_hat, exact = recover_randomness(sec, ct.c1_prime, ct.c1_dprime)
+    assert r_hat == r and exact is True
 
 
 def test_first_consistency_identity_holds_for_honest_ciphertexts(keypair):
@@ -172,7 +172,7 @@ def test_parity_adjusted_exponent_is_always_invertible():
     for _ in range(200):
         r = BitVector.from_int(rng.randrange(2, 1 << 12), 12)
         r_prime = r.as_int + 1 if r.as_int % 2 == 0 else r.as_int
-        assert r_prime < pub.q
+        assert r_prime < (pub.p - 1) // 2
         w = pow(r_prime, -1, pub.p - 1)
         assert w * r_prime % (pub.p - 1) == 1
 
@@ -199,14 +199,29 @@ def test_two_seeded_encryptions_rarely_share_c1():
 
 
 def test_bare_prime_forgery_fails_the_first_consistency_check(keypair):
-    # d-hat = p_1 reads back r-hat = e_1, but C1'' = p_1 cannot match the
-    # masked product y^k * p_1 the check recomputes
+    # C1' = 1 leaves C1'' = p_1 unmasked, so d-hat = p_1 reads back exactly
+    # r-hat = e_1; the forgery fails on C1' = 1 != s^1
     pub, sec = keypair
     out = decrypt(sec, ModifiedCiphertext(1, sec.primes.primes[0], 7))
     assert not out.accepted
     assert out.reason is RejectReason.RANDOMNESS_INCONSISTENT
-    r_hat, h_hat = recover_randomness(sec, 1, sec.primes.primes[0])
-    assert r_hat == BitVector.from_indices(pub.n, [0]) and h_hat == 1
+    r_hat, exact = recover_randomness(sec, 1, sec.primes.primes[0])
+    assert r_hat == BitVector.from_indices(pub.n, [0]) and exact is True
+    assert sec.s_powers[1] != 1
+
+
+def test_c1_dprime_times_a_non_key_factor_is_rejected(keypair):
+    # t*C1'' unmasks to t*prod(S) < p: the same bits and weight, so C1' still
+    # matches s^h and C2 still decodes to m; only the solver's exactness flag
+    # tells this forgery of the challenge's message from an honest ciphertext
+    pub, sec = keypair
+    for r_int in (0b1100000000, 0b0100000101, 0b0010010000):
+        r = BitVector.from_int(r_int, pub.n)
+        ct = encrypt_with_randomness(pub, 55, r)
+        for t in (2, 3, 5, 7):
+            forged = ModifiedCiphertext(ct.c1_prime, ct.c1_dprime * t % pub.p, ct.c2)
+            assert recover_randomness(sec, forged.c1_prime, forged.c1_dprime) == (r, False)
+            assert decrypt(sec, forged).reason is RejectReason.RANDOMNESS_INCONSISTENT
 
 
 def test_c1_prime_substitution_is_rejected(keypair):
@@ -388,6 +403,33 @@ def test_decrypt_matches_the_reference_on_tampered_ciphertexts(seeded_keys, data
         c2 = data.draw(component(p))
     query = ModifiedCiphertext(c1p, c1pp, c2)
     assert decrypt(sec, query) == reference_decrypt(sec, query)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_recovery_is_exact_iff_c1_dprime_is_the_honest_one_for_c1_prime(seeded_keys, data):
+    # why decrypt checks C1'' by the solver's exactness instead of rebuilding it
+    pub, sec = data.draw(st.sampled_from(seeded_keys))
+    p, n = pub.p, pub.n
+    yk = pow(sec.y, sec.k, p)
+    h = data.draw(st.integers(min_value=0, max_value=n))
+    c1p = pow(pub.s_value, h, p)
+    # mask^h * prod(S) with |S| = h or not, or a C1'' honest for weight |S| != h
+    kind = data.draw(st.sampled_from(["random", "size-h", "other-size", "honest-other-weight"]))
+    if kind == "random":
+        c1pp = data.draw(st.integers(min_value=1, max_value=p - 1))
+    else:
+        size = h if kind == "size-h" else data.draw(
+            st.integers(min_value=0, max_value=n).filter(lambda j: j != h)
+        )
+        chosen = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=size, max_size=size))
+        exponent = size if kind == "honest-other-weight" else h
+        c1pp = pow(yk, exponent, p) * math.prod(sec.primes.primes[i] for i in chosen) % p
+    r_hat, exact = recover_randomness(sec, c1p, c1pp)
+    selected = math.prod((pi for pi, b in zip(sec.primes, r_hat) if b), start=1)
+    assert exact == (c1pp == pow(yk, h, p) * selected % p)
+    if kind in ("size-h", "other-size"):
+        assert exact and r_hat == BitVector.from_indices(n, sorted(chosen))
 
 
 def test_c1_prime_outside_the_power_table_is_rejected_before_recovery(keypair, monkeypatch):

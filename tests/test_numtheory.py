@@ -413,15 +413,15 @@ def test_prime_sequence_type_validates():
 
 
 def test_safe_prime_group_validates():
-    SafePrimeGroup(2579, 1289, 2)
+    SafePrimeGroup(2579, 2)
     with pytest.raises(ValueError):
-        SafePrimeGroup(2579, 1289, 2578)  # order 2
+        SafePrimeGroup(2579, 2578)  # order 2
     with pytest.raises(ValueError):
-        SafePrimeGroup(13, 6, 2)  # 6 not prime
+        SafePrimeGroup(13, 2)  # 6 not prime
     with pytest.raises(ValueError):
-        SafePrimeGroup(35, 17, 2)  # 17 prime, 35 composite
+        SafePrimeGroup(35, 2)  # 17 prime, 35 composite
     with pytest.raises(ValueError):
-        SafePrimeGroup(27, 13, 2)  # 3 divides p
+        SafePrimeGroup(27, 2)  # 3 divides p
 
 
 def test_power_index():
