@@ -179,8 +179,10 @@ class PrimeSequence:
 class SafePrimeGroup:
     """p = 2q + 1 with q prime, and g generating all of Z_p^*; p fixes q.
 
-    Constructing one certifies the group (see ``is_safe_prime``); keys built
-    from a group, or parsed through one, need no further primality test.
+    Constructing one certifies the group deterministically: Baillie-PSW on q,
+    with no known counterexample and exact below 2^64, and a Pocklington proof
+    of p (see ``is_safe_prime``).  Keys built from a group, or parsed through
+    one, need no further primality test.
 
     An element of order dividing 2q that is neither a square root of 1 nor a
     q-th root of 1 must have full order 2q, so two exponentiations certify g.
@@ -244,17 +246,81 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     return True
 
 
-def is_safe_prime(p: int) -> bool:
-    """Whether p = 2q + 1 with q and p prime, at one Miller-Rabin certification.
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
-    q gets the full 40 rounds; p is then proven by Pocklington's criterion
-    (Crandall & Pomerance, *Prime Numbers*, Thm 4.1.3): the prime q divides
-    p - 1 and exceeds sqrt(p) - 1, so the witness 2 proves p prime when
-    2^(p-1) = 1 (mod p) and gcd(2^2 - 1, p) = 1, i.e. 3 does not divide p.
-    Every safe prime passes both, so given q the answer for p is exact.
+
+def _half(x: int, n: int) -> int:
+    """x/2 modulo the odd n."""
+    return (x + n if x % 2 else x) // 2 % n
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test on odd n > 2 with Selfridge's method A parameters.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; with n + 1 = d*2^s, n passes iff U_d = 0 or V_(d*2^r) = 0
+    for some 0 <= r < s (mod n).  A perfect square has no such D, so it is
+    rejected before the search.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1 with P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = _half(U + V, n), _half(D * U + V, n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_safe_prime(p: int) -> bool:
+    """Whether p = 2q + 1 with q and p prime, q by Baillie-PSW and p by proof.
+
+    q gets the Baillie-PSW test (Baillie & Wagstaff, *Math. Comp.* 1980;
+    Pomerance, Selfridge & Wagstaff, *Math. Comp.* 1980): one base-2
+    Miller-Rabin round, then a strong Lucas test.  No composite is known to
+    pass it, and it is exact below 2^64, where it has been checked against
+    Feitsma and Galway's list of base-2 pseudoprimes; below 10^6 trial
+    division already decides q exactly.  It draws no random numbers.
+    p is then proven by Pocklington's criterion (Crandall & Pomerance,
+    *Prime Numbers*, Thm 4.1.3): the prime q divides p - 1 and exceeds
+    sqrt(p) - 1, so the witness 2 proves p prime when 2^(p-1) = 1 (mod p)
+    and gcd(2^2 - 1, p) = 1, i.e. 3 does not divide p.  Every safe prime
+    passes both, so given q the answer for p is exact.
     """
     q = (p - 1) // 2
-    if p != 2 * q + 1 or not is_probable_prime(q):
+    # a single round is the base-2 round, which draws nothing from any rng
+    if p != 2 * q + 1 or not is_probable_prime(q, 1):
+        return False
+    if q >= _TRIAL_LIMIT and not _is_strong_lucas_probable_prime(q):
         return False
     return p % 3 != 0 and pow(2, p - 1, p) == 1
 
@@ -281,7 +347,8 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
     2q+1 lines before Miller-Rabin, which keeps generation fast enough to do
     per-trial key generation in the experiment harnesses.  The search phase
     screens with 2 Miller-Rabin rounds; the returned group is always certified
-    by the SafePrimeGroup constructor (40 rounds on q, a Pocklington proof of p).
+    by the SafePrimeGroup constructor (Baillie-PSW on q, a Pocklington proof
+    of p; see ``is_safe_prime``).
     """
     if bit_length < 4:
         raise ValueError("bit_length must be >= 4")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from knaplab import akleylek, attacks, cli, games, keyfile, modified, schemes
 from knaplab.keyfile import KeyFileError
-from knaplab.numtheory import BitVector
+from knaplab.numtheory import BitVector, SafePrimeGroup
 
 # --- formats -----------------------------------------------------------------
 
@@ -184,6 +184,18 @@ def test_modified_key_files_over_a_bad_group_are_refused(case, tmp_path, capsys)
     assert cli.main(["encrypt", "--key", str(pub), "--message", "5", "--seed", "1"]) == 1
     assert cli.main(["decrypt", "--key", str(sec), "--ciphertext", "1 2 3"]) == 1
     assert "invalid key material" in capsys.readouterr().err
+
+
+def test_certifying_a_group_leaves_the_global_random_untouched():
+    """Certification is deterministic: it draws no Miller-Rabin bases from ``random``."""
+    pub, sec = modified.keygen(16, 16, random.Random(3))
+    assert (sec.p - 1) // 2 > 10**12  # large enough to be certified, not trial-divided
+    state = random.getstate()
+    SafePrimeGroup(sec.p, sec.g)
+    assert random.getstate() == state
+    for key in (pub, sec):
+        keyfile.parse_key(keyfile.serialize_key(key))
+        assert random.getstate() == state
 
 
 # (x, k) over p = 23: each out of [1, p - 2], each with y = g^x and gcd(k, p - 1) = 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knaplab.numtheory import _TRIAL_LIMIT, _is_strong_lucas_probable_prime
 from knaplab.numtheory import (
     BitVector,
     PrimeSequence,
@@ -194,6 +195,72 @@ def test_is_safe_prime_agrees_with_miller_rabin_at_250_bits():
         group = gen_safe_prime(251, random.Random(seed))
         assert is_safe_prime(group.p) and is_probable_prime(group.p, 40)
         assert not is_safe_prime(group.p + 2)  # (p + 1) / 2 = q + 1 is even
+
+
+def bpsw(n):
+    """Baillie-PSW as is_safe_prime runs it on q: a base-2 round, then strong Lucas."""
+    return is_probable_prime(n, 1) and (n < _TRIAL_LIMIT or _is_strong_lucas_probable_prime(n))
+
+
+# strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+# strong base-2 pseudoprimes (OEIS A001262)
+STRONG_BASE_2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321)
+# composites above the trial-division limit that pass the base-2 round: two
+# squares of Wieferich primes, which the square guard must catch before the
+# D search (it never ends on a square), and a composite Mersenne number
+BASE_2_PASSING_COMPOSITES = (1093**2, 3511**2, 2**257 - 1)
+
+
+def test_strong_base_2_pseudoprimes_fail_the_lucas_half():
+    for n in STRONG_BASE_2_PSEUDOPRIMES:
+        assert not trial_division_is_prime(n)
+        assert pow(2, n - 1, n) == 1
+        assert not _is_strong_lucas_probable_prime(n), n
+
+
+def test_the_lucas_half_passes_the_primes_and_its_pseudoprimes_below_20000():
+    wrong = [
+        n
+        for n in range(3, 20_000, 2)
+        if _is_strong_lucas_probable_prime(n) != trial_division_is_prime(n)
+    ]
+    assert wrong == list(STRONG_LUCAS_PSEUDOPRIMES)
+
+
+@pytest.mark.parametrize("n", BASE_2_PASSING_COMPOSITES)
+def test_composites_passing_the_base_2_round_are_rejected(n):
+    assert n >= _TRIAL_LIMIT
+    assert is_probable_prime(n, 1)
+    assert not _is_strong_lucas_probable_prime(n)
+    assert not is_safe_prime(2 * n + 1)
+
+
+def test_bpsw_rejects_carmichael_numbers_near_210_bits():
+    k, found = 1 << 66, 0
+    while found < 3:
+        k += 1
+        factors = [f * k + 1 for f in (6, 12, 18)]
+        if not all(is_probable_prime(f, 40, random.Random(f)) for f in factors):
+            continue
+        n = math.prod(factors)
+        assert 205 <= n.bit_length() <= 215
+        assert all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7))  # Fermat liars
+        assert not _is_strong_lucas_probable_prime(n), k
+        assert not bpsw(n)
+        assert not is_safe_prime(2 * n + 1)
+        found += 1
+
+
+def test_bpsw_agrees_with_40_round_miller_rabin_on_random_250_bit_odd_numbers():
+    rng = random.Random(250)
+    primes = 0
+    for _ in range(3000):
+        n = rng.getrandbits(250) | 1 << 249 | 1
+        expected = is_probable_prime(n, 40, random.Random(n))
+        assert bpsw(n) == expected, n
+        primes += expected
+    assert primes > 10  # the agreement is not vacuous on the prime side
 
 
 # --- generators ---------------------------------------------------------------
