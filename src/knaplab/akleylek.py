@@ -76,9 +76,10 @@ def keygen(
 ) -> tuple[AkleylekPublicKey, AkleylekSecretKey]:
     """Fresh key pair over a random safe-prime group.
 
-    With enforce_capacity the modulus is guaranteed to exceed the product of
-    all sequence terms, so every subset product survives the final reduction;
-    pass False to reproduce the undersized-modulus failure mode on purpose.
+    With enforce_capacity the product of all sequence terms must have fewer
+    than modulus_bits bits, and p has exactly that many, so p exceeds it and
+    every subset product survives the final reduction; pass False to
+    reproduce the undersized-modulus failure mode on purpose.
     """
     if n < 2:
         raise ParameterError("need n >= 2")
@@ -90,8 +91,6 @@ def keygen(
             f"({capacity.bit_length()} bits); raise modulus_bits or shrink max_step"
         )
     group = gen_safe_prime(modulus_bits, rng)
-    if enforce_capacity:
-        assert group.p > capacity
     x, k = rng.randrange(1, group.p - 1), rng.randrange(1, group.p - 1)
     return assemble(AkleylekPublicKey, AkleylekSecretKey, group, x, k, a)
 

@@ -52,7 +52,7 @@ class ModifiedSecretKey(DisguisedSecretKey):
             raise ParameterError("k must be invertible mod p-1 so s stays a generator")
         if self.primes.product >= self.p:
             raise ParameterError("modulus must exceed the product of all primes")
-        if self.primes.n >= self.q.bit_length() - 1:
+        if self.primes.n >= (self.p - 1).bit_length() - 2:  # bitlen(q) = bitlen(p - 1) - 1
             raise ParameterError("n must stay below bitlen(q) - 1 so r' < q")
         powers = [1]
         for _ in range(self.n):
@@ -62,10 +62,6 @@ class ModifiedSecretKey(DisguisedSecretKey):
     @property
     def n(self) -> int:
         return self.primes.n
-
-    @property
-    def q(self) -> int:
-        return (self.p - 1) // 2
 
 
 @dataclass(frozen=True)

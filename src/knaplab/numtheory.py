@@ -1,7 +1,8 @@
 """Exact big-integer number theory shared by both ciphers and the attacks.
 
 Everything here is arbitrary precision and side-effect free; randomized
-operations take an explicit ``random.Random`` so callers control seeding.
+operations take an explicit ``random.Random`` so callers control seeding,
+and every prime is certified by ``is_prime``, which draws nothing.
 The two knapsack solvers (greedy subset sum over a super-increasing
 sequence, divisibility-based subset product over pairwise-coprime factors)
 are the workhorses the schemes and attacks are built on.
@@ -23,6 +24,7 @@ __all__ = [
     "mod_inv",
     "gcd",
     "is_probable_prime",
+    "is_prime",
     "is_safe_prime",
     "gen_safe_prime",
     "gen_prime_sequence",
@@ -157,7 +159,7 @@ class PrimeSequence:
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("primes must be pairwise distinct")
         for p in self.primes:
-            if not is_probable_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
     @property
@@ -179,9 +181,8 @@ class PrimeSequence:
 class SafePrimeGroup:
     """p = 2q + 1 with q prime, and g generating all of Z_p^*; p fixes q.
 
-    Constructing one certifies the group deterministically: Baillie-PSW on q,
-    with no known counterexample and exact below 2^64, and a Pocklington proof
-    of p (see ``is_safe_prime``).  Keys built from a group, or parsed through
+    Constructing one certifies the group deterministically: ``is_prime`` on q
+    and a Pocklington proof of p (see ``is_safe_prime``).  Keys built from a group, or parsed through
     one, need no further primality test.
 
     An element of order dividing 2q that is neither a square root of 1 nor a
@@ -217,7 +218,9 @@ def mod_inv(a: int, modulus: int) -> int:
 def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
     """Miller-Rabin: False is certain, True errs with probability <= 4**-rounds.
 
-    Exact (trial division) below 10^6.
+    Exact (trial division) below 10^6.  Round 1 is base 2; later bases come
+    from ``rng``, else the global ``random``.  The library runs it only as the
+    safe-prime search's screen, which passes its rng, and in ``is_prime``.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -301,26 +304,33 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def is_safe_prime(p: int) -> bool:
-    """Whether p = 2q + 1 with q and p prime, q by Baillie-PSW and p by proof.
+def is_prime(n: int) -> bool:
+    """Whether n is prime: exact below 10^6, Baillie-PSW above.
 
-    q gets the Baillie-PSW test (Baillie & Wagstaff, *Math. Comp.* 1980;
-    Pomerance, Selfridge & Wagstaff, *Math. Comp.* 1980): one base-2
-    Miller-Rabin round, then a strong Lucas test.  No composite is known to
-    pass it, and it is exact below 2^64, where it has been checked against
-    Feitsma and Galway's list of base-2 pseudoprimes; below 10^6 trial
-    division already decides q exactly.  It draws no random numbers.
-    p is then proven by Pocklington's criterion (Crandall & Pomerance,
+    Below 10^6 trial division decides n.  Above it n gets the Baillie-PSW
+    test (Baillie & Wagstaff, *Math. Comp.* 1980; Pomerance, Selfridge &
+    Wagstaff, *Math. Comp.* 1980): one base-2 Miller-Rabin round, then a
+    strong Lucas test.  No composite is known to pass it, and it is exact
+    below 2^64, where it has been checked against Feitsma and Galway's list
+    of base-2 pseudoprimes.  It draws no random numbers.
+    """
+    if n < _TRIAL_LIMIT:
+        return is_probable_prime(n)
+    # a single round is the base-2 round, which draws nothing from any rng
+    return is_probable_prime(n, 1) and _is_strong_lucas_probable_prime(n)
+
+
+def is_safe_prime(p: int) -> bool:
+    """Whether p = 2q + 1 with q and p prime, q by ``is_prime`` and p by proof.
+
+    p is proven by Pocklington's criterion (Crandall & Pomerance,
     *Prime Numbers*, Thm 4.1.3): the prime q divides p - 1 and exceeds
     sqrt(p) - 1, so the witness 2 proves p prime when 2^(p-1) = 1 (mod p)
     and gcd(2^2 - 1, p) = 1, i.e. 3 does not divide p.  Every safe prime
     passes both, so given q the answer for p is exact.
     """
     q = (p - 1) // 2
-    # a single round is the base-2 round, which draws nothing from any rng
-    if p != 2 * q + 1 or not is_probable_prime(q, 1):
-        return False
-    if q >= _TRIAL_LIMIT and not _is_strong_lucas_probable_prime(q):
+    if p != 2 * q + 1 or not is_prime(q):
         return False
     return p % 3 != 0 and pow(2, p - 1, p) == 1
 
@@ -339,6 +349,17 @@ _SIEVE_PRIMES = tuple(
 _WINDOW = 4096
 
 
+def _screened_group(q: int, rng: random.Random) -> SafePrimeGroup | None:
+    """The group on p = 2q + 1, or None if its 2-round screen or certification fails."""
+    p = 2 * q + 1
+    if not (is_probable_prime(q, 2, rng) and is_probable_prime(p, 2, rng)):
+        return None
+    try:
+        return SafePrimeGroup(p, _find_generator(p, q, rng))
+    except ValueError:
+        return None
+
+
 def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
     """Random safe-prime group with p of exactly ``bit_length`` bits.
 
@@ -347,24 +368,18 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
     2q+1 lines before Miller-Rabin, which keeps generation fast enough to do
     per-trial key generation in the experiment harnesses.  The search phase
     screens with 2 Miller-Rabin rounds; the returned group is always certified
-    by the SafePrimeGroup constructor (Baillie-PSW on q, a Pocklington proof
+    by the SafePrimeGroup constructor (``is_prime`` on q, a Pocklington proof
     of p; see ``is_safe_prime``).
     """
     if bit_length < 4:
         raise ValueError("bit_length must be >= 4")
     qbits = bit_length - 1
-    screen = 2  # cheap pre-filter; the constructor certifies fully
     if bit_length <= 16:
         # tiny groups: plain rejection sampling, the window would overshoot
         while True:
             q = rng.randrange(1 << (qbits - 1), 1 << qbits) | 1
-            if q % 6 != 5:
-                continue
-            if is_probable_prime(q, screen, rng) and is_probable_prime(2 * q + 1, screen, rng):
-                try:
-                    return SafePrimeGroup(2 * q + 1, _find_generator(2 * q + 1, q, rng))
-                except ValueError:
-                    continue
+            if q % 6 == 5 and (group := _screened_group(q, rng)) is not None:
+                return group
     while True:
         base = rng.randrange(1 << (qbits - 1), (1 << qbits) - 6 * _WINDOW)
         base += (5 - base) % 6
@@ -375,16 +390,8 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
             j = (-(2 * base + 1) * inv12) % sp  # 2q+1-line hits
             dead[j::sp] = b"\x01" * len(range(j, _WINDOW, sp))
         for j in range(_WINDOW):
-            if dead[j]:
-                continue
-            q = base + 6 * j
-            p = 2 * q + 1
-            if not (is_probable_prime(q, screen, rng) and is_probable_prime(p, screen, rng)):
-                continue
-            try:
-                return SafePrimeGroup(p, _find_generator(p, q, rng))
-            except ValueError:
-                continue
+            if not dead[j] and (group := _screened_group(base + 6 * j, rng)) is not None:
+                return group
 
 
 @lru_cache(maxsize=8)
@@ -410,16 +417,14 @@ def gen_prime_sequence(n: int, bits_each: int, rng: random.Random) -> PrimeSeque
             )
         return PrimeSequence(tuple(rng.sample(population, n)))
     picked: list[int] = []
-    seen: set[int] = set()
     attempts = 0
     while len(picked) < n:
         attempts += 1
         if attempts > 10000 * n:
             raise ValueError(f"could not find {n} distinct {bits_each}-bit primes")
         c = rng.randrange(1 << (bits_each - 1), 1 << bits_each) | 1
-        if c not in seen and is_probable_prime(c, 40, rng):
+        if c not in picked and is_prime(c):
             picked.append(c)
-            seen.add(c)
     return PrimeSequence(tuple(picked))
 
 

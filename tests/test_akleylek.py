@@ -8,7 +8,7 @@ import pytest
 
 from knaplab import akleylek
 from knaplab.errors import MalformedCiphertext, ParameterError
-from knaplab.numtheory import BitVector
+from knaplab.numtheory import BitVector, gen_superincreasing
 
 
 def brute_force_decryptions(terms, weight, target):
@@ -151,6 +151,18 @@ def test_keygen_invariants_hold_over_many_seeds():
         assert sec.y == pow(sec.g, sec.x, sec.p)
         yk = pow(sec.y, sec.k, sec.p)
         assert pub.u == tuple(yk * ai % sec.p for ai in sec.a.terms)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_modulus_exceeds_the_sequence_product_at_the_smallest_allowed_size(n):
+    # keygen draws the sequence first, so the same seed redraws it; one bit more
+    # than the product has is the smallest modulus_bits keygen accepts
+    for seed in range(20):
+        a = gen_superincreasing(n, random.Random(seed))
+        bits = math.prod(a.terms).bit_length() + 1
+        pub, sec = akleylek.keygen(n, bits, random.Random(seed))
+        assert sec.a == a and pub.p.bit_length() == bits
+        assert pub.p > math.prod(sec.a.terms)
 
 
 def test_keygen_rejects_undersized_modulus():

@@ -186,11 +186,16 @@ def test_modified_key_files_over_a_bad_group_are_refused(case, tmp_path, capsys)
     assert "invalid key material" in capsys.readouterr().err
 
 
-def test_certifying_a_group_leaves_the_global_random_untouched():
-    """Certification is deterministic: it draws no Miller-Rabin bases from ``random``."""
-    pub, sec = modified.keygen(16, 16, random.Random(3))
-    assert (sec.p - 1) // 2 > 10**12  # large enough to be certified, not trial-divided
+@pytest.mark.parametrize("prime_bits", [16, 24])
+def test_certifying_a_group_leaves_the_global_random_untouched(prime_bits):
+    """Certification is deterministic: it draws no Miller-Rabin bases from ``random``.
+
+    24-bit key primes lie above 10^6, so they are certified, not trial-divided.
+    """
     state = random.getstate()
+    pub, sec = modified.keygen(16, prime_bits, random.Random(3))
+    assert random.getstate() == state
+    assert (sec.p - 1) // 2 > 10**12  # large enough to be certified, not trial-divided
     SafePrimeGroup(sec.p, sec.g)
     assert random.getstate() == state
     for key in (pub, sec):

@@ -497,7 +497,7 @@ def test_parity_adjusted_randomness_is_odd_below_q_and_invertible(n_seed_r):
     n, seed, r_int = n_seed_r
     _, sec = keygen(n, 8, random.Random(seed))
     r_prime = modified._parity_adjust(r_int)
-    assert r_prime % 2 == 1 and r_prime < sec.q
+    assert r_prime % 2 == 1 and r_prime < (sec.p - 1) // 2
     assert math.gcd(r_prime, sec.p - 1) == 1
     assert r_prime * modified.mod_inv(r_prime, sec.p - 1) % (sec.p - 1) == 1
 

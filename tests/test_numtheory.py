@@ -20,6 +20,7 @@ from knaplab.numtheory import (
     gen_prime_sequence,
     gen_safe_prime,
     gen_superincreasing,
+    is_prime,
     is_probable_prime,
     is_safe_prime,
     mod_inv,
@@ -149,6 +150,13 @@ def test_is_probable_prime_agrees_with_trial_division_below_10k():
         assert is_probable_prime(n) == trial_division_is_prime(n), n
 
 
+def test_is_prime_agrees_with_trial_division_across_the_trial_limit():
+    state = random.getstate()
+    for n in (*range(-3, 10_000), *range(_TRIAL_LIMIT - 1000, _TRIAL_LIMIT + 1000)):
+        assert is_prime(n) == trial_division_is_prime(n), n
+    assert random.getstate() == state  # neither side of the limit draws a base
+
+
 def test_semiprime_of_32_bit_primes_is_composite():
     rng = random.Random(7)
     for _ in range(5):
@@ -197,11 +205,6 @@ def test_is_safe_prime_agrees_with_miller_rabin_at_250_bits():
         assert not is_safe_prime(group.p + 2)  # (p + 1) / 2 = q + 1 is even
 
 
-def bpsw(n):
-    """Baillie-PSW as is_safe_prime runs it on q: a base-2 round, then strong Lucas."""
-    return is_probable_prime(n, 1) and (n < _TRIAL_LIMIT or _is_strong_lucas_probable_prime(n))
-
-
 # strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
 STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
 # strong base-2 pseudoprimes (OEIS A001262)
@@ -233,7 +236,10 @@ def test_composites_passing_the_base_2_round_are_rejected(n):
     assert n >= _TRIAL_LIMIT
     assert is_probable_prime(n, 1)
     assert not _is_strong_lucas_probable_prime(n)
+    assert not is_prime(n)
     assert not is_safe_prime(2 * n + 1)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeSequence((3, n))
 
 
 def test_bpsw_rejects_carmichael_numbers_near_210_bits():
@@ -247,7 +253,7 @@ def test_bpsw_rejects_carmichael_numbers_near_210_bits():
         assert 205 <= n.bit_length() <= 215
         assert all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7))  # Fermat liars
         assert not _is_strong_lucas_probable_prime(n), k
-        assert not bpsw(n)
+        assert not is_prime(n)
         assert not is_safe_prime(2 * n + 1)
         found += 1
 
@@ -258,7 +264,7 @@ def test_bpsw_agrees_with_40_round_miller_rabin_on_random_250_bit_odd_numbers():
     for _ in range(3000):
         n = rng.getrandbits(250) | 1 << 249 | 1
         expected = is_probable_prime(n, 40, random.Random(n))
-        assert bpsw(n) == expected, n
+        assert is_prime(n) == expected, n
         primes += expected
     assert primes > 10  # the agreement is not vacuous on the prime side
 

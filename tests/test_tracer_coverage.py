@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import pathlib
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -118,12 +119,18 @@ def test_tracer_reads_a_cli_encrypt_decrypt_round(tmp_path, capsys):
     ):
         assert metrics[name] > 0, name
     # The certification's one base-2 round has rounds < 40, which the tracer tags a
-    # screen; the parser's other calls are exact checks of the small secret primes.
+    # screen; the secret parser's other calls are exact checks of its 16 small primes.
     parses = {i for i, span in enumerate(recorded) if span[0].startswith("keyfile.parse_key")}
-    screens = [
-        (parent, tag)
-        for name, _, _, parent, _, tag in recorded
-        if name == "numtheory.is_probable_prime" and parent in parses and tag[0] == "screen"
-    ]
-    assert sorted(screens) == [(i, ("screen", True)) for i in sorted(parses)]
+    tags = {
+        recorded[i][0]: Counter(
+            tag
+            for name, _, _, parent, _, tag in recorded
+            if name == "numtheory.is_probable_prime" and parent == i
+        )
+        for i in parses
+    }
     assert len(parses) == 2
+    assert tags == {
+        "keyfile.parse_key.public": {("screen", True): 1},
+        "keyfile.parse_key.secret": {("screen", True): 1, ("small", True): 16},
+    }
