@@ -8,6 +8,7 @@ decryption is cryptographically rejected.  Every randomized command accepts
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import random
 import sys
@@ -237,7 +238,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The knaplab parser, built once per process and shared by every ``main`` call.
+
+    ``parse_args`` keeps no state in the parser, so a shared one is safe.  The
+    ``choices`` from ``SCHEMES``, ``STRATEGIES`` and ``ADVERSARIES`` are read
+    once, at the first build.
+    """
     parser = _Parser(
         prog="knaplab",
         description="Knapsack/ElGamal cipher lab: keys, attacks, and security games.",

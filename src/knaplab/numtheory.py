@@ -10,10 +10,12 @@ are the workhorses the schemes and attacks are built on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, prod
 
 __all__ = [
@@ -44,7 +46,7 @@ def _sieve(limit: int) -> list[int]:
     for i in range(2, int(limit**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if flags[i]]
+    return list(itertools.compress(range(limit), flags))
 
 
 _TRIAL_PRIMES = frozenset(_sieve(1000))
@@ -219,8 +221,9 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     """Miller-Rabin: False is certain, True errs with probability <= 4**-rounds.
 
     Exact (trial division) below 10^6.  Round 1 is base 2; later bases come
-    from ``rng``, else the global ``random``.  The library runs it only as the
-    safe-prime search's screen, which passes its rng, and in ``is_prime``.
+    from ``rng``, else the global ``random``.  The library runs it only with
+    one round, the base-2 round, in the safe-prime search's screen and in
+    ``is_prime``.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -231,22 +234,22 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     if n < _TRIAL_LIMIT:
         return True
     draw = rng.randrange if rng is not None else random.randrange
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for i in range(rounds):
-        a = 2 if i == 0 else draw(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return _strong_round(n, 2) and all(
+        _strong_round(n, draw(2, n - 1)) for _ in range(rounds - 1)
+    )
+
+
+def _strong_round(n: int, a: int) -> bool:
+    """One Miller-Rabin round: whether the odd n > 2 is a strong probable prime to base a."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    x = pow(a, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -342,17 +345,59 @@ def _find_generator(p: int, q: int, rng: random.Random) -> int:
             return g
 
 
-# skip 2 and 3: the q = 5 (mod 6) wheel already excludes their multiples
-_SIEVE_PRIMES = tuple(
-    (sp, pow(6, -1, sp), pow(12, -1, sp)) for sp in _sieve(1 << 13)[2:]
-)
 _WINDOW = 4096
+_ZEROS = memoryview(bytes(_WINDOW))
+# skip 2 and 3: the q = 5 (mod 6) wheel already excludes their multiples.
+# Each entry is (sp, 1/6, -1/12) mod sp: a window step of -1/12 moves q by
+# -1/2, from a q-line hit (q = 0) to a 2q+1-line hit (q = -1/2).
+_SIEVE_PRIMES = tuple(
+    (sp, pow(6, -1, sp), -pow(12, -1, sp) % sp) for sp in _sieve(1 << 13)[2:]
+)
+_DEEP_BITS = 16  # the q line alone is also sieved by the primes in (2^13, 2^16)
+
+
+@cache
+def _deep_sieve_primes() -> tuple[array, array]:
+    """The primes in (2^13, 2^16) and their inverses of 6, built on first use."""
+    primes = array("H", _sieve(1 << _DEEP_BITS)[len(_SIEVE_PRIMES) + 2 :])
+    return primes, array("H", (pow(6, -1, sp) for sp in primes))
+
+
+def _window_survivors(base: int, deep: bool) -> list[int]:
+    """The q = base + 6j, 0 <= j < _WINDOW, that no sieve prime strikes.
+
+    Every prime below 2^13 other than 2 and 3 strikes the q and the 2q+1
+    lines; with ``deep``, the primes in (2^13, 2^16) strike the q line too.
+    Each deep prime exceeds the window, so it strikes at most one q.
+    """
+    alive = bytearray(b"\x01") * _WINDOW
+    for sp, inv6, step in _SIEVE_PRIMES:
+        j = -(base % sp) * inv6 % sp  # q-line hits
+        alive[j::sp] = _ZEROS[: (_WINDOW - 1 - j) // sp + 1]
+        j = (j + step) % sp  # 2q+1-line hits
+        alive[j::sp] = _ZEROS[: (_WINDOW - 1 - j) // sp + 1]
+    if deep:
+        for sp, inv6 in zip(*_deep_sieve_primes()):
+            if (j := -(base % sp) * inv6 % sp) < _WINDOW:
+                alive[j] = 0
+    return list(itertools.compress(range(base, base + 6 * _WINDOW, 6), alive))
 
 
 def _screened_group(q: int, rng: random.Random) -> SafePrimeGroup | None:
-    """The group on p = 2q + 1, or None if its 2-round screen or certification fails."""
+    """The group on p = 2q + 1, or None if its screen or certification fails.
+
+    The screen is two Miller-Rabin rounds on each of q and p: base 2, then a
+    base drawn from rng (none below 10^6, where ``is_probable_prime`` is exact).
+    """
     p = 2 * q + 1
-    if not (is_probable_prime(q, 2, rng) and is_probable_prime(p, 2, rng)):
+    if not is_probable_prime(q, 1):
+        return None
+    # q's base is drawn before p's base-2 round, so the draws keep their order,
+    # but tried after it, so a p that fails costs no second round on q
+    a = rng.randrange(2, q - 1) if q >= _TRIAL_LIMIT else None
+    if not is_probable_prime(p, 1) or a and not _strong_round(q, a):
+        return None
+    if p >= _TRIAL_LIMIT and not _strong_round(p, rng.randrange(2, p - 1)):
         return None
     try:
         return SafePrimeGroup(p, _find_generator(p, q, rng))
@@ -366,10 +411,14 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
     Candidates q are stepped along the q = 5 (mod 6) wheel (forced for any
     safe prime above 7) and a window of them is sieved jointly on the q and
     2q+1 lines before Miller-Rabin, which keeps generation fast enough to do
-    per-trial key generation in the experiment harnesses.  The search phase
-    screens with 2 Miller-Rabin rounds; the returned group is always certified
-    by the SafePrimeGroup constructor (``is_prime`` on q, a Pocklington proof
-    of p; see ``is_safe_prime``).
+    per-trial key generation in the experiment harnesses.  Once every q
+    exceeds 2^16, the q line alone is sieved deeper, by the primes up to 2^16
+    (Wiener, "Safe prime generation with a combined sieve", ePrint 2003/186).
+    A q that only the deep primes strike is composite and would fail its
+    base-2 round, which draws nothing, so the deep sieve changes no key.
+    The search phase screens with 2 Miller-Rabin rounds; the returned group
+    is always certified by the SafePrimeGroup constructor (``is_prime`` on q,
+    a Pocklington proof of p; see ``is_safe_prime``).
     """
     if bit_length < 4:
         raise ValueError("bit_length must be >= 4")
@@ -380,17 +429,13 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
             q = rng.randrange(1 << (qbits - 1), 1 << qbits) | 1
             if q % 6 == 5 and (group := _screened_group(q, rng)) is not None:
                 return group
+    # below 2^16 a deep prime could strike a prime q: itself
+    deep = qbits > _DEEP_BITS
     while True:
         base = rng.randrange(1 << (qbits - 1), (1 << qbits) - 6 * _WINDOW)
         base += (5 - base) % 6
-        dead = bytearray(_WINDOW)
-        for sp, inv6, inv12 in _SIEVE_PRIMES:
-            j = (-base * inv6) % sp  # q-line hits
-            dead[j::sp] = b"\x01" * len(range(j, _WINDOW, sp))
-            j = (-(2 * base + 1) * inv12) % sp  # 2q+1-line hits
-            dead[j::sp] = b"\x01" * len(range(j, _WINDOW, sp))
-        for j in range(_WINDOW):
-            if not dead[j] and (group := _screened_group(base + 6 * j, rng)) is not None:
+        for q in _window_survivors(base, deep):
+            if (group := _screened_group(q, rng)) is not None:
                 return group
 
 

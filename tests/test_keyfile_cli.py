@@ -340,6 +340,23 @@ def test_cli_keygen_is_seed_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_calls_share_one_parser_and_no_parsed_state(tmp_path):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    outs = ["--public-out", str(tmp_path / "k.pub"), "--secret-out", str(tmp_path / "k.sec")]
+    first = parser.parse_args(["keygen", "--scheme", "original", "-n", "3", "--seed", "3", *outs])
+    second = parser.parse_args(["keygen", "--scheme", "modified", *outs])
+    assert (first.scheme, first.n, first.seed) == ("original", 3, 3)
+    assert (second.scheme, second.n, second.seed) == ("modified", None, None)
+    # through main: a seed given once is not reused by a later call without one
+    keys = []
+    for seed in (["--seed", "3"], []):
+        argv = ["keygen", "--scheme", "modified", "-n", "4", "--prime-bits", "8", *seed, *outs]
+        assert cli.main(argv) == 0
+        keys.append((tmp_path / "k.sec").read_bytes())
+    assert keys[0] != keys[1]
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [

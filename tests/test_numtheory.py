@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knaplab.numtheory import _TRIAL_LIMIT, _is_strong_lucas_probable_prime
+from knaplab.numtheory import (
+    _TRIAL_LIMIT,
+    _WINDOW,
+    _is_strong_lucas_probable_prime,
+    _window_survivors,
+)
 from knaplab.numtheory import (
     BitVector,
     PrimeSequence,
@@ -291,6 +296,39 @@ def test_gen_safe_prime_structure(bits):
     assert is_probable_prime(group.p) and is_probable_prime(group.q)
     assert pow(group.g, group.q, group.p) != 1
     assert pow(group.g, 2, group.p) != 1
+
+
+@pytest.mark.parametrize("bits", range(4, 41))
+def test_gen_safe_prime_returns_a_certified_group_of_every_small_size(bits):
+    # the deep q-line sieve must not strike a prime q that is itself a deep prime
+    for seed in range(5):
+        group = gen_safe_prime(bits, random.Random(seed))
+        assert group.p.bit_length() == bits
+        assert is_safe_prime(group.p)
+
+
+def test_the_deep_sieve_strikes_only_q_that_fail_their_base_2_round():
+    # a q struck only by a prime in (2^13, 2^16) would have failed the base-2
+    # round of the screen, which draws nothing, so dropping it keeps every key
+    primes = [n for n in range(5, 1 << 16) if trial_division_is_prime(n)]
+    shallow = math.prod(sp for sp in primes if sp < 1 << 13)
+    deep = math.prod(sp for sp in primes if sp > 1 << 13)
+    struck = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        base = rng.randrange(1 << 249, (1 << 250) - 6 * _WINDOW)
+        base += (5 - base) % 6
+        candidates = range(base, base + 6 * _WINDOW, 6)
+        survivors = [q for q in candidates if gcd(q * (2 * q + 1), shallow) == 1]
+        deep_struck = [q for q in survivors if gcd(q, deep) != 1]
+        assert _window_survivors(base, deep=False) == survivors
+        assert _window_survivors(base, deep=True) == [
+            q for q in survivors if q not in deep_struck
+        ]
+        for q in deep_struck:
+            assert not is_probable_prime(q, 1) and not is_prime(q), q
+        struck += len(deep_struck)
+    assert struck > 100  # the property is not vacuous
 
 
 def test_gen_safe_prime_rejects_tiny_bit_length():
