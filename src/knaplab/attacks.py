@@ -12,8 +12,9 @@ large n must be.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, takewhile
 from math import comb, prod
 
 from .errors import MalformedCiphertext, ParameterError
@@ -54,8 +55,12 @@ def recover_hamming_weight(pk, c1: int) -> int:
     Unreduced ciphertexts make this a strictly increasing integer scan; the
     hardened scheme reduces mod p, where scanning s^1..s^n mod p is the
     degenerate baby-step giant-step over the only n possible exponents.
+    A key with s = 1, which an uncertified original key file may carry,
+    makes C1 = 1 for every weight and is refused.
     """
     n, s = pk.n, pk.s_value
+    if s == 1:
+        raise ParameterError("s = 1 makes C1 = 1 for every weight, so C1 cannot reveal h")
     if scheme_of(pk).reduced:
         t = 1
         for h in range(1, n + 1):
@@ -83,9 +88,8 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
 
     Candidates are complete: every subset reproducing the target component
     is returned, since ambiguous decryptions are part of what the lab
-    measures.  subsets_examined counts the weight-h subsets the walk decides
-    one by one at its last factor, so pruning only ever lowers it below
-    n-choose-h.
+    measures.  subsets_examined counts the weight-h subsets the walk
+    decides, so pruning only ever lowers it below n-choose-h.
 
     An unreduced target T is matched with the u_i in ascending order.  In
     place of the partial product P the walk carries cap = T // P and whether
@@ -96,9 +100,21 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
     first i where u_i * ... * u_(i+k-1), the smallest completion, exceeds
     cap: no subset below it or to its right can be examined.  So a subset
     is examined iff its full product is at most the target, the same count
-    as an index-order walk, and each one is still visited.  A target
-    reduced mod p admits no such bound, so that walk builds every product
-    mod p and examines all n-choose-h subsets.
+    as an index-order walk.
+
+    Up to h = 3 each examined subset is visited.  From h = 4 on, the node
+    with two factors left decides its subsets without visiting them: it
+    bisects rows[i], the products u_i * u_j for j > i built once per call
+    (ascending, as u is), for cap.  The entries <= cap are exactly the
+    subsets examined under that i, since P * u_i * u_j <= T iff
+    u_i * u_j <= cap, and when P divides T the entries equal to cap are
+    every match, ties included.  Each row is cut at T // (u_0 * ... *
+    u_(h-3)), the largest cap a two-left node can see.  A row entry costs
+    one multiplication, about half the divmod it replaces, so rows pay
+    only when many prefixes reuse them: the C(n, h-2) prefixes outnumber
+    the C(n, 2) row entries iff h >= 4.  A target reduced mod p admits no
+    such bound, so that walk builds every product mod p and examines all
+    n-choose-h subsets.
     """
     start = time.perf_counter()
     h, target, reduced = _weight_and_target(pk, ct)
@@ -108,6 +124,7 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
     bit = [1 << (n - 1 - j) for j in order]  # masks are BitVector.from_int values
     found: list[int] = []
     examined = 0
+    rows: list[list[int]] = []  # filled only for an unreduced walk with h >= 4
 
     def walk_reduced(first: int, left: int, mask: int, partial: int):
         nonlocal examined
@@ -131,6 +148,18 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
                 if exact and ui == cap:
                     found.append(mask | bit[i])
             return
+        if left == 2 and rows:  # the last two factors: u_i * u_j <= cap, counted by bisection
+            for i in range(first, n - 1):
+                row = rows[i]
+                stop = bisect_right(row, cap)
+                if not stop:
+                    break
+                examined += stop
+                if exact and row[stop - 1] == cap:
+                    head = mask | bit[i]
+                    for j in range(bisect_left(row, cap, 0, stop), stop):
+                        found.append(head | bit[i + 1 + j])
+            return
         smallest = least[left]
         for i in range(first, n - left + 1):
             if smallest[i] > cap:
@@ -145,6 +174,13 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
         least = [[], u]
         for k in range(2, h + 1):
             least.append([a * b for a, b in zip(u, least[-1][1:])])
+        if h >= 4:
+            # rows[i] = u_i * u_j for j > i, ascending, cut at the largest cap a two-left node sees
+            bound = target // least[h - 2][0]
+            rows = [
+                list(takewhile(bound.__ge__, map(ui.__mul__, u[i + 1 :])))
+                for i, ui in enumerate(u)
+            ]
         walk(0, h, 0, target, True)
     return AttackReport(
         recovered_h=h,

@@ -347,19 +347,24 @@ def _find_generator(p: int, q: int, rng: random.Random) -> int:
 
 _WINDOW = 4096
 _ZEROS = memoryview(bytes(_WINDOW))
-# skip 2 and 3: the q = 5 (mod 6) wheel already excludes their multiples.
-# Each entry is (sp, 1/6, -1/12) mod sp: a window step of -1/12 moves q by
-# -1/2, from a q-line hit (q = 0) to a 2q+1-line hit (q = -1/2).
-_SIEVE_PRIMES = tuple(
-    (sp, pow(6, -1, sp), -pow(12, -1, sp) % sp) for sp in _sieve(1 << 13)[2:]
-)
 _DEEP_BITS = 16  # the q line alone is also sieved by the primes in (2^13, 2^16)
+
+
+@cache
+def _sieve_primes() -> tuple[tuple[int, int, int], ...]:
+    """(sp, 1/6, -1/12) mod sp for the primes 5 <= sp < 2^13, built on first use.
+
+    2 and 3 are skipped: the q = 5 (mod 6) wheel already excludes their
+    multiples.  A window step of -1/12 moves q by -1/2, from a q-line hit
+    (q = 0) to a 2q+1-line hit (q = -1/2).
+    """
+    return tuple((sp, pow(6, -1, sp), -pow(12, -1, sp) % sp) for sp in _sieve(1 << 13)[2:])
 
 
 @cache
 def _deep_sieve_primes() -> tuple[array, array]:
     """The primes in (2^13, 2^16) and their inverses of 6, built on first use."""
-    primes = array("H", _sieve(1 << _DEEP_BITS)[len(_SIEVE_PRIMES) + 2 :])
+    primes = array("H", _sieve(1 << _DEEP_BITS)[len(_sieve_primes()) + 2 :])
     return primes, array("H", (pow(6, -1, sp) for sp in primes))
 
 
@@ -371,7 +376,7 @@ def _window_survivors(base: int, deep: bool) -> list[int]:
     Each deep prime exceeds the window, so it strikes at most one q.
     """
     alive = bytearray(b"\x01") * _WINDOW
-    for sp, inv6, step in _SIEVE_PRIMES:
+    for sp, inv6, step in _sieve_primes():
         j = -(base % sp) * inv6 % sp  # q-line hits
         alive[j::sp] = _ZEROS[: (_WINDOW - 1 - j) // sp + 1]
         j = (j + step) % sp  # 2q+1-line hits

@@ -1,5 +1,7 @@
 """Attack suite: weight recovery, subset searches, and the cost profile."""
 
+import bisect
+import hashlib
 import itertools
 import random
 from math import comb, prod
@@ -335,6 +337,65 @@ def test_every_search_agrees_with_a_combinations_reference():
         if sk is not None:
             d = akleylek.decrypt_d(sk, ct)
             assert akleylek.decrypt_all(sk, ct) == reference_candidates(sk.a.terms, h, d)
+
+
+def test_exhaustive_row_step_agrees_with_the_reference(monkeypatch):
+    """From h = 4 on, the last two factors are counted by bisection in rows of pair products.
+
+    The keys carry u_j = c * u_i and one repeated u, so equal pair products
+    recur across rows and within a row.  Besides the encrypted subset, each
+    weight gets a target whose row cut lies below u_0 * u_1, so every row is
+    empty, and one above the product of all u, so every row is whole.
+    """
+    bisections = []
+    monkeypatch.setattr(
+        attacks, "bisect_right", lambda *a: bisections.append(a) or bisect.bisect_right(*a)
+    )
+    rng = random.Random(1974)
+    for n in range(12, 17):
+        u = _with_multiples(rng, rng.sample(range(2, 200), n), 1 << 61)
+        u[-1] = u[0]
+        pk = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=tuple(u))
+        low = sorted(u)
+        for h in range(3, n + 1):
+            least = prod(low[: h - 2])  # the row cut is target // least
+            emptied = least * low[0] * low[1] - 1
+            assert emptied // least < low[0] * low[1]
+            whole = prod(u) + 1
+            assert whole // least >= low[-2] * low[-1]
+            encrypted = prod(u[j] for j in rng.sample(range(n), h))
+            for target in (encrypted, emptied, whole):
+                bisections.clear()
+                ct = akleylek.AkleylekCiphertext(3**h, target)
+                exh = attacks.exhaustive_subset_attack(pk, ct)
+                assert exh.candidates == reference_candidates(u, h, target)
+                within = sum(1 for idx in itertools.combinations(u, h) if prod(idx) <= target)
+                assert exh.subsets_examined == within
+                if target != encrypted:
+                    assert within == (binomial(n, h) if target == whole else 0)
+                assert bool(bisections) == (h >= 4 and within > 0)
+
+
+def test_exhaustive_attack_report_is_pinned_on_seeded_keys():
+    """One sha256 over (candidates, subsets_examined) for 3 keys at n = 20 and h = 3..8.
+
+    The digest was computed with the walk of commit 303b84e, which visited
+    every examined subset at its last factor, before the rows of pair
+    products took over the last two factors; it must not move.
+    """
+    digest = hashlib.sha256()
+    for seed in range(3):
+        rng = random.Random(seed)
+        pk, _ = akleylek.keygen(20, attacks_bits(20), rng)
+        for h in range(3, 9):
+            for _ in range(4):
+                ct = akleylek.encrypt(pk, BitVector.from_indices(20, rng.sample(range(20), h)))
+                report = attacks.exhaustive_subset_attack(pk, ct)
+                pair = ([str(c) for c in report.candidates], report.subsets_examined)
+                digest.update(repr(pair).encode())
+    assert digest.hexdigest() == (
+        "8dcb81ae679a035c71c7ab44cda733c98720acc8b212035fc352d99abe9048f2"
+    )
 
 
 # primes above every base value below, so none divides any u_i

@@ -443,6 +443,18 @@ def test_cli_round_trip_past_the_int_str_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == message
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive", "mitm"])
+def test_cli_attack_refuses_an_original_key_with_s_one(strategy, tmp_path, capsys):
+    # an original key file is not certified, so s = 1 parses; C1 = 1^h then hides h
+    pub = akleylek.AkleylekPublicKey(n=5, p=2579, s=(1,) * 5, u=(2165, 1958, 1337, 95, 190))
+    path = tmp_path / "s1.pub"
+    path.write_text(keyfile.serialize_key(pub))
+    argv = ["attack", "--key", str(path), "--ciphertext", "1 372020", "--strategy", strategy]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: s = 1") and "every weight" in err
+
+
 def test_cli_attack_refuses_secret_key(toy_files, capsys):
     _, sec = toy_files
     rc = cli.main(["attack", "--key", str(sec), "--ciphertext", "10816 372020"])
