@@ -128,7 +128,7 @@ def decrypt_all(
     sk: AkleylekSecretKey,
     ct: AkleylekCiphertext,
     *,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+    limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> tuple[BitVector, ...]:
     """Every message the ciphertext can decode to, in canonical order.
 
@@ -138,8 +138,8 @@ def decrypt_all(
     cannot decode this ciphertext uniquely.
     """
     n = sk.n
-    if n > exhaustive_limit:
-        raise ParameterError(f"n={n} exceeds the exhaustive scan limit {exhaustive_limit}")
+    if n > limit:
+        raise ParameterError(f"n={n} exceeds the exhaustive scan limit {limit}")
     h = power_index(sk.s_value, ct.c1, n)
     if h is None:
         return ()
@@ -175,7 +175,7 @@ def completeness_audit(
     sk: AkleylekSecretKey,
     pk: AkleylekPublicKey | None = None,
     *,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+    limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> AuditReport:
     """Scan all 2^n messages for colliding subset products and modulus overflow.
 
@@ -186,8 +186,8 @@ def completeness_audit(
     sequence defective.
     """
     n = sk.n
-    if n > exhaustive_limit:
-        raise ParameterError(f"n={n} exceeds the exhaustive scan limit {exhaustive_limit}")
+    if n > limit:
+        raise ParameterError(f"n={n} exceeds the exhaustive scan limit {limit}")
     if pk is not None:
         expect = tuple(sk.mask * ai % sk.p for ai in sk.a.terms)
         if pk.u != expect or pk.s_value != sk.s_value or pk.p != sk.p:

@@ -131,7 +131,7 @@ def cmd_audit(args) -> int:
     sk = keyfile.load_key(args.key, "secret")
     if scheme_of(sk) is not ORIGINAL:
         raise ParameterError("audit applies to original-scheme secret keys")
-    report = akleylek.completeness_audit(sk, exhaustive_limit=args.limit)
+    report = _sized(akleylek.completeness_audit, args, sk)
     for product, members in report.collision_groups:
         names = ",".join(str(m) for m in members)
         print(f"collision product={product} messages={names}")
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="census of collisions and modulus overflow")
     p.add_argument("--key", required=True, help="original-scheme secret key file")
-    p.add_argument("--limit", type=int, default=akleylek.DEFAULT_EXHAUSTIVE_LIMIT)
+    p.add_argument("--limit", type=int, default=None)
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("game", help="run a security experiment")

@@ -12,22 +12,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
+from itertools import combinations
 from typing import Callable
 
-from . import akleylek, modified
+from . import akleylek, attacks, modified
 from .errors import ParameterError
-from .modified import ModifiedCiphertext, ModifiedPublicKey
 from .numtheory import BitVector
 from .schemes import MODIFIED, ORIGINAL, Scheme
 
-MUTATION_KINDS = (
-    "c1_prime",
-    "c1_dprime",
-    "c2",
-    "c1_prime+c1_dprime",
-    "c1_prime+c2",
-    "c1_dprime+c2",
+# every single component of the modified ciphertext, then every pair
+MUTATION_KINDS = tuple(
+    "+".join(kind)
+    for size in (1, 2)
+    for kind in combinations((f.name for f in fields(MODIFIED.ciphertext)), size)
 )
 MAX_FUZZ_FINDINGS = 25
 FUZZ_KEYPAIRS = 20
@@ -177,13 +175,7 @@ def run_ind_cca2(
     return ExperimentResult(trials=trials, wins=wins, rejections=rejections)
 
 
-def malleation_case2(
-    challenge: ModifiedCiphertext,
-    pk: ModifiedPublicKey,
-    rng: random.Random,
-    *,
-    force_weight: int | None = None,
-) -> ModifiedCiphertext:
+def malleation_case2(challenge, pk, rng: random.Random, *, force_weight: int | None = None):
     """Keep C2, substitute the C1 of a fresh honest encryption under new randomness.
 
     force_weight pins the fresh randomness to a chosen Hamming weight, which
@@ -191,25 +183,25 @@ def malleation_case2(
     the same.
     """
     n = pk.n
+    if force_weight is not None and not 1 <= force_weight <= n:
+        raise ParameterError("force_weight out of range")
     while True:
         if force_weight is None:
             r = BitVector.from_int(rng.randrange(2, 1 << n), n)
         else:
-            if not 1 <= force_weight <= n:
-                raise ParameterError("force_weight out of range")
             r = BitVector.from_indices(n, rng.sample(range(n), force_weight))
             if r.as_int < 2:
                 continue
-        fresh = modified.encrypt_with_randomness(pk, 1, r)
-        if (fresh.c1_prime, fresh.c1_dprime) != (challenge.c1_prime, challenge.c1_dprime):
-            return ModifiedCiphertext(fresh.c1_prime, fresh.c1_dprime, challenge.c2)
+        query = replace(modified.encrypt_with_randomness(pk, 1, r), c2=challenge.c2)
+        if query != challenge:
+            return query
 
 
 @dataclass(frozen=True)
 class MalleationFinding:
     trial: int
     seed: int
-    query: tuple[int, int, int]
+    query: tuple[int, ...]  # the ciphertext's components, in field order
     decrypted: int
 
 
@@ -244,8 +236,10 @@ def run_malleation_trials(
         if strategy == "case1":
             query = mutate_ciphertext(challenge, "c2", trial_rng, pk.p)
         else:
-            # C1' = s^h, so the challenge randomness weighs h = log_s C1'
-            weight = sk.s_powers.index(challenge.c1_prime) if force_weight_match else None
+            # C1 = s^h, so the challenge randomness weighs h = log_s C1
+            weight = None
+            if force_weight_match:
+                weight = attacks.recover_hamming_weight(pk, scheme.attack_target(challenge)[0])
             query = malleation_case2(challenge, pk, trial_rng, force_weight=weight)
         answer = oracle.query(query)
         if answer is not None:
@@ -253,7 +247,7 @@ def run_malleation_trials(
                 MalleationFinding(
                     trial=t,
                     seed=seed,
-                    query=(query.c1_prime, query.c1_dprime, query.c2),
+                    query=astuple(query),
                     decrypted=answer,
                 )
             )
@@ -271,7 +265,7 @@ class MutationFinding:
     kind: str
     keypair_seed: int
     message: int
-    mutated: tuple[int, int, int]
+    mutated: tuple[int, ...]
     decrypted: int
 
 
@@ -285,21 +279,17 @@ class FuzzReport:
     findings_truncated: bool
 
 
-def mutate_ciphertext(
-    ct: ModifiedCiphertext, kind: str, rng: random.Random, p: int
-) -> ModifiedCiphertext:
+def mutate_ciphertext(ct, kind: str, rng: random.Random, p: int):
     """Replace the named component(s) with fresh random residues (never equal)."""
     if kind not in MUTATION_KINDS:
         raise ParameterError(f"unknown mutation kind {kind!r}")
-    parts = {"c1_prime": ct.c1_prime, "c1_dprime": ct.c1_dprime, "c2": ct.c2}
+    parts = {}
     for name in kind.split("+"):
-        old = parts[name]
-        while True:
-            fresh = rng.randrange(1, p)
-            if fresh != old:
-                parts[name] = fresh
-                break
-    return ModifiedCiphertext(parts["c1_prime"], parts["c1_dprime"], parts["c2"])
+        old = getattr(ct, name)
+        while (fresh := rng.randrange(1, p)) == old:
+            pass
+        parts[name] = fresh
+    return replace(ct, **parts)
 
 
 def mutation_fuzzer(
@@ -340,7 +330,7 @@ def mutation_fuzzer(
                         kind=kind,
                         keypair_seed=seed,
                         message=m,
-                        mutated=(query.c1_prime, query.c1_dprime, query.c2),
+                        mutated=astuple(query),
                         decrypted=out,
                     )
                 )

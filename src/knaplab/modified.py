@@ -33,6 +33,17 @@ from .numtheory import (
 from .numtheory import is_probable_prime  # noqa: F401
 
 
+def _check_randomness_fits(n: int, p: int) -> None:
+    """Refuse n unless every r' < 2^n lies below q, so r' is invertible mod p - 1.
+
+    Secret keys and encryption check it; public keys do not, so that any
+    public key stays an attack target, but no ciphertext is made under one
+    that no secret key can match.
+    """
+    if n >= (p - 1).bit_length() - 2:  # bitlen(q) = bitlen(p - 1) - 1
+        raise ParameterError("n must stay below bitlen(q) - 1 so r' < q")
+
+
 class ModifiedPublicKey(DisguisedPublicKey):
     @property
     def max_message(self) -> int:
@@ -52,8 +63,7 @@ class ModifiedSecretKey(DisguisedSecretKey):
             raise ParameterError("k must be invertible mod p-1 so s stays a generator")
         if self.primes.product >= self.p:
             raise ParameterError("modulus must exceed the product of all primes")
-        if self.primes.n >= (self.p - 1).bit_length() - 2:  # bitlen(q) = bitlen(p - 1) - 1
-            raise ParameterError("n must stay below bitlen(q) - 1 so r' < q")
+        _check_randomness_fits(self.primes.n, self.p)
         powers = [1]
         for _ in range(self.n):
             powers.append(powers[-1] * self.s_value % self.p)
@@ -145,6 +155,7 @@ def encrypt_with_randomness(
     pk: ModifiedPublicKey, m: int, r: BitVector
 ) -> ModifiedCiphertext:
     """Deterministic core of encryption, with the randomness pinned by the caller."""
+    _check_randomness_fits(pk.n, pk.p)
     if len(r) != pk.n:
         raise ParameterError(f"randomness length {len(r)} != n = {pk.n}")
     if r.as_int < 2:

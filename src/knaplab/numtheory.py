@@ -88,10 +88,6 @@ class BitVector:
         return cls(tuple(bits))
 
     @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
     def weight(self) -> int:
         return sum(self.bits)
 
@@ -107,9 +103,6 @@ class BitVector:
 
     def __iter__(self):
         return iter(self.bits)
-
-    def __getitem__(self, j):
-        return self.bits[j]
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)

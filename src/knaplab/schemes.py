@@ -72,7 +72,7 @@ def _parse_int(text: str) -> int:
 
 
 def _original_decrypt_all(sk, ct, limit=akleylek.DEFAULT_EXHAUSTIVE_LIMIT):
-    return akleylek.decrypt_all(sk, ct, exhaustive_limit=limit)
+    return akleylek.decrypt_all(sk, ct, limit=limit)
 
 
 def _modified_decrypt_all(sk, ct):

@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from knaplab import akleylek
+from knaplab import akleylek, disguise
 from knaplab.errors import MalformedCiphertext, ParameterError
-from knaplab.numtheory import BitVector, gen_superincreasing
+from knaplab.numtheory import BitVector, SafePrimeGroup, SuperIncreasingSeq, gen_superincreasing
 
 
 def brute_force_decryptions(terms, weight, target):
@@ -126,7 +126,7 @@ def test_decrypt_all_refuses_oversized_n():
     ct = akleylek.encrypt(pub, BitVector.from_int(5, 22))
     with pytest.raises(ParameterError):
         akleylek.decrypt_all(sec, ct)
-    assert akleylek.decrypt_all(sec, ct, exhaustive_limit=22)
+    assert akleylek.decrypt_all(sec, ct, limit=22)
 
 
 def test_decrypt_all_returns_empty_on_garbage_c1(toy_keypair):
@@ -234,3 +234,26 @@ def test_decrypt_composition_matches_subset_product():
         m = BitVector.from_int(value, 10)
         d = akleylek.decrypt_d(sec, akleylek.encrypt(pub, m))
         assert d == math.prod(t for t, b in zip(sec.a.terms, m) if b) % sec.p
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_keygen_refuses_n_below_two(n):
+    with pytest.raises(ParameterError, match="need n >= 2"):
+        akleylek.keygen(n, 40, random.Random(0))
+
+
+def test_audit_refuses_n_above_its_limit(toy_keypair):
+    _, sec = toy_keypair
+    with pytest.raises(ParameterError, match="exceeds the exhaustive scan limit 4"):
+        akleylek.completeness_audit(sec, limit=4)
+    assert akleylek.completeness_audit(sec, limit=5).n == 5
+
+
+def test_assemble_refuses_a_term_divisible_by_p(toy_keypair):
+    _, sec = toy_keypair
+    seq = SuperIncreasingSeq((2, 3, 6, 12, sec.p))
+    group = SafePrimeGroup(sec.p, sec.g)
+    with pytest.raises(ParameterError, match="nonzero mod p"):
+        disguise.assemble(
+            akleylek.AkleylekPublicKey, akleylek.AkleylekSecretKey, group, sec.x, sec.k, seq
+        )

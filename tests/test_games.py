@@ -7,13 +7,17 @@ consistency check.  The acceptance suite separately records that the
 stronger rejection targets cannot be met.
 """
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 from collections import Counter
+from itertools import count
 
 import pytest
 
-from knaplab import akleylek, games, modified
+from knaplab import akleylek, cli, games, modified
 from knaplab.errors import ParameterError
 from knaplab.numtheory import BitVector
 
@@ -274,3 +278,72 @@ def test_run_malleation_trials_needs_at_least_one_trial(trials):
     for strategy in ("case1", "case2"):
         with pytest.raises(ParameterError, match="at least one trial"):
             games.run_malleation_trials(strategy, trials, random.Random(0), n=8, prime_bits=7)
+
+
+SMALL_MODIFIED = ("-n", "8", "--prime-bits", "7")
+FORGERY_GAME_RUNS = [
+    *(
+        ("--game", game, "--trials", "12", *SMALL_MODIFIED, "--seed", str(seed))
+        for game in ("malleation-case1", "malleation-case2")
+        for seed in (0, 1, 2)
+    ),
+    # 163 mutations log more accepted C2 substitutions than MAX_FUZZ_FINDINGS keeps
+    *(("--game", "fuzzer", "--mutations", "163", *SMALL_MODIFIED, "--seed", str(seed))
+      for seed in (0, 1, 2)),
+    ("--game", "malleation-case2", "--trials", "4", "--seed", "9"),
+    ("--game", "fuzzer", "--mutations", "60", "--seed", "9"),
+]
+
+
+def test_forgery_games_seeded_output_is_pinned():
+    # Every seeded finding, count and truncation line of the forgery games,
+    # through the CLI and the force_weight_match library path, hashed.
+    digest = hashlib.sha256()
+    truncated = 0
+    for argv in FORGERY_GAME_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["game", "--scheme", "modified", *argv]) == 0
+        truncated += "finding,truncated=true" in out.getvalue()
+        digest.update(out.getvalue().encode())
+    for sizes in ({"n": 8, "prime_bits": 7}, {}):
+        res = games.run_malleation_trials(
+            "case2", 6, random.Random(3), force_weight_match=True, **sizes
+        )
+        digest.update(repr(res).encode())
+    assert truncated == 3
+    assert digest.hexdigest() == (
+        "c0d4790b1fcd55049b20a50a1b37c1d3a65833aafaa05ee06d45ea8ea840864e"
+    )
+
+
+def test_mutate_ciphertext_refuses_an_unknown_kind():
+    pub, _ = modified.keygen(10, 8, random.Random(9))
+    challenge = modified.encrypt(pub, 77, random.Random(10))
+    with pytest.raises(ParameterError, match="unknown mutation kind"):
+        games.mutate_ciphertext(challenge, "c3", random.Random(0), pub.p)
+
+
+@pytest.mark.parametrize("weight", [0, -1, 11])
+def test_malleation_case2_refuses_a_weight_outside_one_to_n(weight):
+    pub, _ = modified.keygen(10, 8, random.Random(11))
+    challenge = modified.encrypt(pub, 77, random.Random(12))
+    with pytest.raises(ParameterError, match="force_weight out of range"):
+        games.malleation_case2(challenge, pub, random.Random(0), force_weight=weight)
+
+
+def test_malleation_case2_redraws_the_integer_one_at_weight_one():
+    n = 10
+    pub, sec = modified.keygen(n, 8, random.Random(11))
+    challenge = modified.encrypt_with_randomness(pub, 77, BitVector.from_int(0b11, n))
+
+    def draws(seed):
+        rng = random.Random(seed)
+        return rng.sample(range(n), 1), rng.sample(range(n), 1)
+
+    # the first weight-1 draw sets the last bit, r = 1, which no encryptor uses
+    seed = next(s for s in count() if draws(s)[0] == [n - 1] != draws(s)[1])
+    query = games.malleation_case2(challenge, pub, random.Random(seed), force_weight=1)
+    r_hat, exact = modified.recover_randomness(sec, query.c1_prime, query.c1_dprime)
+    assert exact and r_hat == BitVector.from_indices(n, draws(seed)[1])
+    assert query.c2 == challenge.c2

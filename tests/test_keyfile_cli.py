@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knaplab import akleylek, attacks, cli, games, keyfile, modified, schemes
+from knaplab.errors import ParameterError
 from knaplab.keyfile import KeyFileError
 from knaplab.numtheory import BitVector, SafePrimeGroup
 
@@ -68,6 +69,8 @@ def test_parse_rejects_malformed_files(toy_keypair):
         keyfile.parse_key("\n".join(good.splitlines()[:-1]))  # missing field
     with pytest.raises(KeyFileError):
         keyfile.parse_key(good.replace("role=public", "role=owner"))
+    with pytest.raises(KeyFileError, match="line 5: expected name=value"):
+        keyfile.parse_key(good.replace("p=a13", "p a13"))
 
 
 def test_parse_tolerates_comments_and_blank_lines(toy_params_path):
@@ -650,14 +653,55 @@ def test_cli_usage_errors_exit_one_and_help_exits_zero(argv, code, capsys):
     assert exc.value.code == code
 
 
-# argv placeholders: OUT is a fresh output path, TOY_BAD_S the toy public key
-# with one s entry changed, MODIFIED_SEC a modified secret key file
+# A modified public key that parses (its group 23 = 2*11 + 1 certifies) but
+# that no secret key can match: n = 4 needs q >= 2^5, and q = 11.
+OVERSIZED_N_PUBLIC_KEY = """version=1
+scheme=modified
+role=public
+n=4
+p=17
+s=5,5,5,5
+u=2,3,4,6
+"""
+
+# argv placeholders: OUT is a fresh output path, TOY_SEC the toy secret key
+# file, and every other capitalised name a key file written from refusal_files
 REFUSED_INPUTS = {
     "keygen-without-n-or-fixed-key": (
         ["keygen", "--scheme", "original", "--public-out", "OUT", "--secret-out", "OUT"],
         "-n is required",
     ),
     "audit-modified-key": (["audit", "--key", "MODIFIED_SEC"], "original-scheme"),
+    "audit-above-its-limit": (
+        ["audit", "--key", "TOY_SEC", "--limit", "4"], "n=5 exceeds the exhaustive scan limit 4"
+    ),
+    "key-line-without-equals": (
+        ["encrypt", "--key", "NO_EQUALS", "--message", "01001"], "expected name=value"
+    ),
+    "encrypt-key-no-secret-key-matches": (
+        ["encrypt", "--key", "OVERSIZED_N_PUB", "--message", "5"], "n must stay below bitlen"
+    ),
+    "secret-key-modulus-below-prime-product": (
+        ["decrypt", "--key", "SMALL_P_SEC", "--ciphertext", "1 2 3"], "modulus must exceed"
+    ),
+    "secret-key-n-too-large": (
+        ["decrypt", "--key", "BIG_N_SEC", "--ciphertext", "1 2 3"], "n must stay below bitlen"
+    ),
+    "keygen-other-schemes-params": (
+        ["keygen", "--scheme", "modified", "--fixed-key", "TOY_PARAMS", "--public-out", "OUT",
+         "--secret-out", "OUT"],
+        "params file is for scheme 'original', not 'modified'",
+    ),
+    "keygen-term-divisible-by-p": (
+        ["keygen", "--scheme", "original", "--fixed-key", "ZERO_TERM_PARAMS", "--public-out",
+         "OUT", "--secret-out", "OUT"],
+        "sequence terms must be nonzero mod p",
+    ),
+    "keygen-n-below-two": (
+        ["keygen", "--scheme", "original", "-n", "1", "--public-out", "OUT", "--secret-out",
+         "OUT"],
+        "need n >= 2",
+    ),
     "encrypt-unequal-s": (
         ["encrypt", "--key", "TOY_BAD_S", "--message", "01001"], "s components must be equal"
     ),
@@ -676,14 +720,30 @@ REFUSED_INPUTS = {
 }
 
 
+def refusal_files(toy_pub_text, toy_params_text):
+    """The text of each key file REFUSED_INPUTS names, by placeholder."""
+    return {
+        "TOY_BAD_S": toy_pub_text.replace("s=68,68,68,68,68", "s=68,68,68,68,69"),
+        "MODIFIED_SEC": tiny_modified_key_texts(23, 5)[1],
+        "NO_EQUALS": toy_pub_text.replace("p=a13", "p a13"),
+        "OVERSIZED_N_PUB": OVERSIZED_N_PUBLIC_KEY,
+        "SMALL_P_SEC": tiny_modified_key_texts(5, 2, 3, 3)[1],  # primes 2 * 3 >= 5
+        "BIG_N_SEC": tiny_modified_key_texts(11, 2, 3, 3)[1],  # n = 2 needs q >= 2^3
+        "TOY_PARAMS": toy_params_text,
+        "ZERO_TERM_PARAMS": toy_params_text.replace("a=2,3,6,c,18", "a=2,3,6,c,a13"),
+    }
+
+
 @pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
-def test_cli_refusals_print_one_error_line_and_nothing_else(case, toy_files, tmp_path, capsys):
+def test_cli_refusals_print_one_error_line_and_nothing_else(
+    case, toy_files, toy_params_path, tmp_path, capsys
+):
     argv, message = REFUSED_INPUTS[case]
-    bad_s = tmp_path / "bad-s.pub"
-    bad_s.write_text(toy_files[0].read_text().replace("s=68,68,68,68,68", "s=68,68,68,68,69"))
-    modified_sec = tmp_path / "m.sec"
-    modified_sec.write_text(tiny_modified_key_texts(23, 5)[1])
-    paths = {"OUT": tmp_path / "out", "TOY_BAD_S": bad_s, "MODIFIED_SEC": modified_sec}
+    paths = {"OUT": tmp_path / "out", "TOY_SEC": toy_files[1]}
+    files = refusal_files(toy_files[0].read_text(), toy_params_path.read_text())
+    for name, text in files.items():
+        paths[name] = tmp_path / name.lower()
+        paths[name].write_text(text)
     assert cli.main([str(paths.get(a, a)) for a in argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -977,7 +1037,7 @@ ROUTES = {
     "encrypt": (),
     "decrypt": tuple(scheme.decrypt_all for scheme in schemes.SCHEMES.values()),
     "attack": tuple(cli.STRATEGIES.values()),
-    "audit": (),
+    "audit": (akleylek.completeness_audit,),
     "game": (*games.GAME_SCHEMES.values(), games.run_malleation_trials, games.mutation_fuzzer),
     "bench": (games.original_game_scheme,),
 }
@@ -991,10 +1051,9 @@ def test_every_size_flag_defaults_to_none_and_is_a_library_parameter(command):
     assert set(ROUTES) == set(subparsers)
     params = set().union(*(inspect.signature(fn).parameters for fn in ROUTES[command]))
     sub = subparsers[command]
-    owned = CLI_OWNED_FLAGS | ({"limit"} if command == "audit" else set())
     assert not set(cli.ROUTED_FLAGS) & set(sub._defaults)
     for action in sub._actions:
-        if action.dest in owned:
+        if action.dest in CLI_OWNED_FLAGS:
             continue
         flag = "/".join(action.option_strings)
         assert action.dest in cli.ROUTED_FLAGS, flag
@@ -1040,3 +1099,25 @@ def test_wrong_role_files_are_refused_before_their_material_is_checked(
         keyfile.load_key(sec, "public")
     with pytest.raises(KeyFileError, match="invalid key material"):
         keyfile.load_key(pub, "public")
+
+
+def test_a_modified_public_key_no_secret_key_matches_is_refused_at_encryption():
+    pub = keyfile.parse_key(OVERSIZED_N_PUBLIC_KEY, "public")
+    assert (pub.n, pub.p) == (4, 23)
+    with pytest.raises(ParameterError, match="n must stay below bitlen"):
+        modified.encrypt(pub, 5, random.Random(0))
+
+
+@pytest.mark.parametrize("obj", [object(), BitVector((1, 0)), games.ExperimentResult(1, 1)])
+def test_serializers_refuse_an_object_of_no_scheme(obj):
+    with pytest.raises(KeyFileError, match="cannot serialize"):
+        keyfile.serialize_key(obj)
+    with pytest.raises(KeyFileError, match="cannot serialize"):
+        keyfile.ciphertext_to_text(obj)
+
+
+def test_cli_bench_without_h_values_sweeps_every_weight_below_n(capsys):
+    assert cli.main(["bench", "-n", "6", "--seed", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == cli.BENCH_HEADER + ",regime"
+    assert [int(line.split(",")[1]) for line in lines[1:]] == [1, 2, 3, 4, 5]

@@ -108,6 +108,9 @@ def test_encrypt_rejects_degenerate_randomness(keypair):
         encrypt_with_randomness(pub, 5, BitVector((0,) * pub.n))
     with pytest.raises(ParameterError):
         encrypt_with_randomness(pub, 5, BitVector.from_int(1, pub.n))
+    for length in (pub.n - 1, pub.n + 1):
+        with pytest.raises(ParameterError, match="randomness length"):
+            encrypt_with_randomness(pub, 5, BitVector.from_int(3, length))
 
 
 def test_round_trip_thousand_messages(keypair):
@@ -512,3 +515,15 @@ def test_raising_to_r_prime_undoes_the_root_for_every_c2(n_seed_r, data):
     r_prime = modified._parity_adjust(r_int)
     w = pow(r_prime, -1, sec.p - 1)
     assert pow(pow(c2, w, sec.p), r_prime, sec.p) == c2
+
+
+@pytest.mark.parametrize(
+    "p, g, x, k, message",
+    [
+        (5, 2, 3, 3, "modulus must exceed the product of all primes"),  # 2 * 3 >= 5
+        (11, 2, 3, 3, "n must stay below bitlen"),  # n = 2 needs q >= 2^3, and q = 5
+    ],
+)
+def test_secret_key_refuses_a_modulus_too_small_for_its_primes(p, g, x, k, message):
+    with pytest.raises(ParameterError, match=message):
+        modified.keypair_from_params(p, g, x, k, (2, 3))
