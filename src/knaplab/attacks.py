@@ -14,8 +14,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, takewhile
-from math import comb, prod
+from itertools import compress, repeat, takewhile
+from math import comb, log2, prod
+from operator import add
 
 from .errors import MalformedCiphertext, ParameterError
 from .numtheory import (
@@ -84,23 +85,95 @@ def _weight_and_target(pk, ct) -> tuple[int, int, bool]:
 
 
 def exhaustive_subset_attack(pk, ct) -> AttackReport:
-    """Enumerate weight-h index subsets until every product match is found.
+    """Decide every weight-h index subset, and return every product match.
 
     Candidates are complete: every subset reproducing the target component
     is returned, since ambiguous decryptions are part of what the lab
-    measures.  subsets_examined counts the weight-h subsets the walk
-    decides, so pruning only ever lowers it below n-choose-h.
+    measures.  subsets_examined is the paper's cost: the weight-h subsets
+    the search decides, so pruning only ever lowers it below n-choose-h.
+    It is the same count whichever of the three regimes below runs; only
+    ``elapsed`` is the cost of this implementation.
 
-    An unreduced target T is matched with the u_i in ascending order.  In
-    place of the partial product P the walk carries cap = T // P and whether
-    P divides T; a child takes divmod(cap, u_i), since floor(floor(T/a)/b)
-    equals floor(T/(ab)).  A last factor u_i is examined iff u_i <= cap,
-    that is iff the full product is at most T, and it matches iff P divides
-    T and u_i == cap.  A loop that still has to pick k factors ends at the
+    A target reduced mod p admits no bound on partial products, so that
+    walk builds every product mod p and examines all n-choose-h subsets.
+
+    An unreduced target T is an exact integer product, and a subset counts
+    as examined iff its product is at most T.  With the u_i in ascending
+    order, two regimes count that same set of subsets.  The walk
+    (_walk_below) visits prefixes and cuts each loop at the first index
+    whose smallest completion exceeds the quotient cap.  The count
+    (_count_below) visits no prefix: it matches two lists of log products
+    and decides only the pairs near T on integers.  The count runs iff
+    h >= 4, its full lists hold L = sum over w <= h of C(n // 2, w) +
+    C(n - n // 2, w) <= MAX_LIST_ENTRIES entries, and 4 * L < C(n, h - 1),
+    constants set from measured crossovers, which the README lists.  At
+    n = 20 that is h >= 6.  The rule keeps the walk at h <= 3 and at
+    n = 64, h = 4, where building the lists costs more than the walk.
+    """
+    start = time.perf_counter()
+    h, target, reduced = _weight_and_target(pk, ct)
+    n = pk.n
+    order = sorted(range(n), key=pk.u.__getitem__)
+    u = [pk.u[j] for j in order]
+    bit = [1 << (n - 1 - j) for j in order]  # masks are BitVector.from_int values
+    if reduced:
+        found, examined = _walk_reduced(u, bit, h, target, pk.p)
+    elif _count_pays(n, h):
+        found, examined = _count_below(u, bit, h, target)
+    else:
+        found, examined = _walk_below(u, bit, h, target)
+    return AttackReport(
+        recovered_h=h,
+        candidates=tuple(BitVector.from_int(mask, n) for mask in sorted(found)),
+        subsets_examined=examined,
+        predicted_bound=entropy_bound(n, h),
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def _list_entries(n: int, split: int, h: int) -> int:
+    """The subsets of weight <= h on either side of a split: two full lists' length."""
+    return sum(comb(split, w) + comb(n - split, w) for w in range(h + 1))
+
+
+def _count_pays(n: int, h: int) -> bool:
+    """Whether an unreduced exhaustive search counts by lists rather than walking."""
+    entries = _list_entries(n, n // 2, h)
+    return h >= 4 and entries <= MAX_LIST_ENTRIES and 4 * entries < comb(n, h - 1)
+
+
+def _walk_reduced(u, bit, h: int, target: int, p: int) -> tuple[list[int], int]:
+    """(masks of the weight-h subsets whose product is target mod p, n-choose-h)."""
+    n = len(u)
+    found: list[int] = []
+    examined = 0
+
+    def walk(first: int, left: int, mask: int, partial: int):
+        nonlocal examined
+        if left == 1:  # the last factor: each step builds a full subset
+            for i in range(first, n):
+                examined += 1
+                if partial * u[i] % p == target:
+                    found.append(mask | bit[i])
+            return
+        for i in range(first, n - left + 1):
+            walk(i + 1, left - 1, mask | bit[i], partial * u[i] % p)
+
+    walk(0, h, 0, 1)
+    return found, examined
+
+
+def _walk_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
+    """(masks of the weight-h matches, subsets with product <= target), by a pruned walk.
+
+    u is ascending.  In place of the partial product P the walk carries
+    cap = target // P and whether P divides target; a child takes
+    divmod(cap, u_i), since floor(floor(T/a)/b) equals floor(T/(ab)).  A
+    last factor u_i is examined iff u_i <= cap, that is iff the full
+    product is at most the target, and it matches iff P divides the target
+    and u_i == cap.  A loop that still has to pick k factors ends at the
     first i where u_i * ... * u_(i+k-1), the smallest completion, exceeds
-    cap: no subset below it or to its right can be examined.  So a subset
-    is examined iff its full product is at most the target, the same count
-    as an index-order walk.
+    cap: no subset below it or to its right can be examined.
 
     Up to h = 3 each examined subset is visited.  From h = 4 on, the node
     with two factors left decides its subsets without visiting them: it
@@ -112,30 +185,12 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
     u_(h-3)), the largest cap a two-left node can see.  A row entry costs
     one multiplication, about half the divmod it replaces, so rows pay
     only when many prefixes reuse them: the C(n, h-2) prefixes outnumber
-    the C(n, 2) row entries iff h >= 4.  A target reduced mod p admits no
-    such bound, so that walk builds every product mod p and examines all
-    n-choose-h subsets.
+    the C(n, 2) row entries iff h >= 4.
     """
-    start = time.perf_counter()
-    h, target, reduced = _weight_and_target(pk, ct)
-    n, p = pk.n, pk.p
-    order = sorted(range(n), key=pk.u.__getitem__)
-    u = [pk.u[j] for j in order]
-    bit = [1 << (n - 1 - j) for j in order]  # masks are BitVector.from_int values
+    n = len(u)
     found: list[int] = []
     examined = 0
-    rows: list[list[int]] = []  # filled only for an unreduced walk with h >= 4
-
-    def walk_reduced(first: int, left: int, mask: int, partial: int):
-        nonlocal examined
-        if left == 1:  # the last factor: each step builds a full subset
-            for i in range(first, n):
-                examined += 1
-                if partial * u[i] % p == target:
-                    found.append(mask | bit[i])
-            return
-        for i in range(first, n - left + 1):
-            walk_reduced(i + 1, left - 1, mask | bit[i], partial * u[i] % p)
+    rows: list[list[int]] = []  # filled only for h >= 4
 
     def walk(first: int, left: int, mask: int, cap: int, exact: bool):
         nonlocal examined
@@ -167,39 +222,145 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
             quotient, remainder = divmod(cap, u[i])
             walk(i + 1, left - 1, mask | bit[i], quotient, exact and not remainder)
 
-    if reduced:
-        walk_reduced(0, h, 0, 1)
-    else:
-        # least[k][i] = u_i * ... * u_(i+k-1), the smallest product of k factors from i on
-        least = [[], u]
-        for k in range(2, h + 1):
-            least.append([a * b for a, b in zip(u, least[-1][1:])])
-        if h >= 4:
-            # rows[i] = u_i * u_j for j > i, ascending, cut at the largest cap a two-left node sees
-            bound = target // least[h - 2][0]
-            rows = [
-                list(takewhile(bound.__ge__, map(ui.__mul__, u[i + 1 :])))
-                for i, ui in enumerate(u)
-            ]
-        walk(0, h, 0, target, True)
-    return AttackReport(
-        recovered_h=h,
-        candidates=tuple(BitVector.from_int(mask, n) for mask in sorted(found)),
-        subsets_examined=examined,
-        predicted_bound=entropy_bound(n, h),
-        elapsed=time.perf_counter() - start,
-    )
+    # least[k][i] = u_i * ... * u_(i+k-1), the smallest product of k factors from i on
+    least = [[], u]
+    for k in range(2, h + 1):
+        least.append([a * b for a, b in zip(u, least[-1][1:])])
+    if h >= 4:
+        # rows[i] = u_i * u_j for j > i, ascending, cut at the largest cap a two-left node sees
+        bound = target // least[h - 2][0]
+        rows = [
+            list(takewhile(bound.__ge__, map(ui.__mul__, u[i + 1 :]))) for i, ui in enumerate(u)
+        ]
+    walk(0, h, 0, target, True)
+    return found, examined
 
 
-def _products_by_weight(factors, bits, p: int, first: int, weight_cap: int):
-    """Per weight w <= cap, parallel lists of subset masks and of first * their product mod p."""
-    masks: list[list[int]] = [[0]] + [[] for _ in range(weight_cap)]
+def _count_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
+    """(masks of the weight-h matches, subsets with product <= target), by two lists.
+
+    u is ascending and split at n // 2, in the two-list manner of Horowitz
+    and Sahni (J. ACM 1974) and Schroeppel and Shamir (SIAM J. Comput.
+    1981).  Each half lists, per weight w, the log2 products of its
+    subsets with their masks.  A subset of weight w ending at index t is
+    kept only if its log plus the h - w smallest logs it could still take
+    (the first ones of the left half for a right subset, then those after
+    t) is at most log2 T + eps.  Every subset examined in full keeps both
+    its halves, and each kept entry starts an examined subset (or one
+    within eps of T), so no list is longer than the count.  For each weight pair (w, h - w) the right
+    list is sorted, and a left log a counts the right logs below
+    log2 T - a - eps by bisection; those pairs are below T for sure.
+    Right logs above log2 T - a + eps are above T for sure.  The pairs in
+    between are decided on exact integers rebuilt from their masks, and
+    every match and every tie lands there, so the count and the
+    candidates are exact.
+
+    eps bounds the float error with room to spare.  math.log2 of an int
+    errs by at most 2^-51 * max(1, its log2), and each float addition or
+    subtraction rounds by at most 2^-53 of its result.  A decision that
+    matters compares sums of at most n logs, each at most about log2 T,
+    with log2 T + eps or log2 T - eps less at most three more terms: at
+    most 2n + 8 roundings, each below 2^-51 * max(1, log2 T) up to a
+    factor 1 + 2^-40.  eps = (2n + 8) * 2^-50 * max(1, log2 T) is twice
+    their sum.
+    """
+    n = len(u)
+    if prod(u[:h]) > target:  # the h smallest exceed it: nothing is examined
+        return [], 0
+    log_t = log2(target)
+    eps = (2 * n + 8) * 2.0**-50 * max(1.0, log_t)
+    logs = list(map(log2, u))
+    # least[k][i] = logs_i + ... + logs_(i+k-1), the smallest k logs from i on
+    least = [[0.0] * (n + 1), logs]
+    for k in range(2, h + 1):
+        least.append(list(map(add, logs, least[-1][1:])))
+    split = n // 2
+    left_logs, left_masks = _log_lists(logs, bit, least, 0, split, h, log_t + eps)
+    right_logs, right_masks = _log_lists(logs, bit, least, split, n, h, log_t + eps)
+    factor = dict(zip(bit, u))
+
+    def product(mask: int) -> int:
+        out = 1
+        while mask:
+            low = mask & -mask
+            out *= factor[low]
+            mask ^= low
+        return out
+
+    below, above = log_t - eps, log_t + eps
+    found: list[int] = []
+    examined = 0
+    for w in range(h + 1):
+        have, want = left_logs[w], right_logs[h - w]
+        if not have or not want:
+            continue
+        order = sorted(range(len(want)), key=want.__getitem__)
+        ordered = list(map(want.__getitem__, order))
+        sure = list(map(bisect_left, repeat(ordered), map(below.__sub__, have)))
+        near = list(map(bisect_right, repeat(ordered), map(above.__sub__, have)))
+        examined += sum(sure)
+        for i in compress(range(len(have)), map(int.__lt__, sure, near)):
+            head = left_masks[w][i]
+            partial = product(head)
+            for j in range(sure[i], near[i]):
+                tail = right_masks[h - w][order[j]]
+                full = partial * product(tail)
+                if full <= target:
+                    examined += 1
+                    if full == target:
+                        found.append(head | tail)
+    return found, examined
+
+
+def _log_lists(logs, bit, least, first: int, stop: int, h: int, bound: float):
+    """Per weight w <= h, the logs and masks of the kept subsets of [first, stop).
+
+    A subset of weight w ending at t is kept iff its log plus the h - w
+    smallest logs among [0, first) and (t, n) is at most bound.
+    """
+    n = len(logs)
+    kept_logs: list[list[float]] = [[0.0]] + [[] for _ in range(h)]
+    kept_masks: list[list[int]] = [[0]] + [[] for _ in range(h)]
+    for t in range(first, stop):
+        at, mark = logs[t], bit[t]
+        for w in range(min(h, t - first + 1), 0, -1):  # descending: level w-1 is still without t
+            before = min(h - w, first)  # taken from [0, first), the rest from t + 1 on
+            after = h - w - before
+            if t + 1 + after > n:
+                continue
+            room = bound - at - least[before][0] - least[after][t + 1]
+            if room < 0:
+                continue
+            keep = list(map(room.__ge__, kept_logs[w - 1]))
+            kept_logs[w].extend(map(at.__add__, compress(kept_logs[w - 1], keep)))
+            kept_masks[w].extend(map(mark.__or__, compress(kept_masks[w - 1], keep)))
+    return kept_logs, kept_masks
+
+
+def _products_by_weight(factors, p: int, first: int, weight_cap: int) -> list[list[int]]:
+    """Per weight w <= cap, first * the product mod p of each w-subset, in colex order.
+
+    Position pos of list w holds the subset {c_1 < ... < c_w} with
+    C(c_1, 1) + ... + C(c_w, w) = pos, which _colex_subset recovers.
+    """
     products: list[list[int]] = [[first % p]] + [[] for _ in range(weight_cap)]
-    for factor, bit in zip(factors, bits):
-        for w in range(weight_cap, 0, -1):  # descending: level w-1 is still without bit
-            masks[w].extend(map(bit.__or__, masks[w - 1]))
+    for factor in factors:
+        for w in range(weight_cap, 0, -1):  # descending: level w-1 is still without factor
             products[w].extend(map(p.__rmod__, map(factor.__mul__, products[w - 1])))
-    return masks, products
+    return products
+
+
+def _colex_subset(pos: int, w: int, size: int) -> list[int]:
+    """The w-subset of range(size) at position pos in colex order, largest index first."""
+    out = []
+    c = size
+    for i in range(w, 0, -1):
+        c -= 1
+        while comb(c, i) > pos:
+            c -= 1
+        out.append(c)
+        pos -= comb(c, i)
+    return out
 
 
 def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
@@ -233,8 +394,7 @@ def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
     if not 1 <= split < n:
         raise ParameterError(f"split must lie in [1, {n - 1}]")
     h, target, reduced = _weight_and_target(pk, ct)
-    entries = sum(comb(split, w) + comb(n - split, w) for w in range(h + 1))
-    if entries > MAX_LIST_ENTRIES:
+    if _list_entries(n, split, h) > MAX_LIST_ENTRIES:
         raise ParameterError("split exceeds the memory cap")
     u = pk.u
     q = pk.p if reduced or not all(x % FILTER_MODULUS for x in u) else FILTER_MODULUS
@@ -242,23 +402,23 @@ def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
         inverses = [mod_inv(u[j], q) for j in range(split, n)]
     except ValueError:
         raise ParameterError("a public u_i is not invertible mod p") from None
-    bits = [1 << (n - 1 - j) for j in range(n)]  # masks are BitVector.from_int values
-    left_masks, left = _products_by_weight([x % q for x in u[:split]], bits[:split], q, 1, h)
-    right_masks, right = _products_by_weight(inverses, bits[split:], q, target, h)
+    left = _products_by_weight([x % q for x in u[:split]], q, 1, h)
+    right = _products_by_weight(inverses, q, target, h)
     found = []
     for w, want in enumerate(right):
         have = left[h - w]
         hits = set(have).intersection(want)
         if not hits:
             continue
-        by_product: dict[int, list[int]] = {}
-        for pr, lmask in compress(zip(have, left_masks[h - w]), map(hits.__contains__, have)):
-            by_product.setdefault(pr, []).append(lmask)
-        for pr, rmask in compress(zip(want, right_masks[w]), map(hits.__contains__, want)):
-            for lmask in by_product[pr]:
-                m = BitVector.from_int(lmask | rmask, n)
-                if reduced or prod(compress(u, m.bits)) == target:
-                    found.append(m)
+        by_product: dict[int, list[list[int]]] = {}
+        for pos in compress(range(len(have)), map(hits.__contains__, have)):
+            by_product.setdefault(have[pos], []).append(_colex_subset(pos, h - w, split))
+        for pos in compress(range(len(want)), map(hits.__contains__, want)):
+            tail = [split + c for c in _colex_subset(pos, w, n - split)]
+            for head in by_product[want[pos]]:
+                chosen = head + tail
+                if reduced or prod(map(u.__getitem__, chosen)) == target:
+                    found.append(BitVector.from_indices(n, chosen))
     return AttackReport(
         recovered_h=h,
         candidates=tuple(sorted(found)),

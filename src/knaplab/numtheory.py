@@ -378,7 +378,7 @@ def _window_survivors(base: int, deep: bool) -> list[int]:
         for sp, inv6 in zip(*_deep_sieve_primes()):
             if (j := -(base % sp) * inv6 % sp) < _WINDOW:
                 alive[j] = 0
-    return list(itertools.compress(range(base, base + 6 * _WINDOW, 6), alive))
+    return [base + 6 * j for j in itertools.compress(range(_WINDOW), alive)]
 
 
 def _screened_group(q: int, rng: random.Random) -> SafePrimeGroup | None:

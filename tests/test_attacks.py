@@ -398,6 +398,93 @@ def test_exhaustive_attack_report_is_pinned_on_seeded_keys():
     )
 
 
+def test_exhaustive_count_report_is_pinned_on_seeded_keys():
+    """One sha256 over (candidates, subsets_examined) for 3 keys at n = 24 and h = 9..12.
+
+    Every call here takes the two-list count.  The digest was computed with
+    the walk of commit af2c833, which visited prefixes at every h; it must
+    not move.
+    """
+    digest = hashlib.sha256()
+    for seed in range(3):
+        rng = random.Random(seed)
+        pk, _ = akleylek.keygen(24, attacks_bits(24), rng)
+        for h in range(9, 13):
+            assert attacks._count_pays(24, h)
+            for _ in range(2):
+                ct = akleylek.encrypt(pk, BitVector.from_indices(24, rng.sample(range(24), h)))
+                report = attacks.exhaustive_subset_attack(pk, ct)
+                pair = ([str(c) for c in report.candidates], report.subsets_examined)
+                digest.update(repr(pair).encode())
+    assert digest.hexdigest() == (
+        "6a4026299a9d8e77d6f659a63acb2300e3d3ddb763610aa57d9129a3b0e6af71"
+    )
+
+
+def test_count_regime_rule_picks_the_lists_only_where_they_pay():
+    # perfbench's attack-sweep band at n = 20
+    assert [h for h in range(3, 9) if attacks._count_pays(20, h)] == [6, 7, 8]
+    # the walk keeps h <= 3 and the wide keys where the lists would cost more than it
+    for n, h in ((64, 4), (128, 3), (128, 2), (256, 2)):
+        assert not attacks._count_pays(n, h)
+    for n, h in ((24, 12), (32, 6), (40, 8)):
+        assert attacks._count_pays(n, h)
+
+
+def _ascending(u):
+    """u in ascending order with its masks, as exhaustive_subset_attack hands them on."""
+    n = len(u)
+    order = sorted(range(n), key=u.__getitem__)
+    return [u[j] for j in order], [1 << (n - 1 - j) for j in order]
+
+
+def test_walk_and_count_helpers_give_equal_reports():
+    """Both unreduced regimes, called directly at every h, on seeded and tie-heavy keys."""
+    rng = random.Random(1981)
+    keys = [akleylek.keygen(20, attacks_bits(20), rng)[0].u for _ in range(2)]
+    keys.append(_with_multiples(rng, rng.sample(range(2, 300), 14), 1 << 61))
+    keys.append([1 << j for j in range(12)])
+    for u in keys:
+        n = len(u)
+        ascending, bit = _ascending(u)
+        for h in range(1, n + 1):
+            encrypted = prod(rng.sample(u, h))
+            for target in (encrypted, encrypted - 1, encrypted + 1, prod(ascending[:h]) - 1):
+                if target < 1:
+                    continue
+                found, examined = attacks._walk_below(ascending, bit, h, target)
+                counted, examined_by_count = attacks._count_below(ascending, bit, h, target)
+                assert sorted(counted) == sorted(found)
+                assert examined_by_count == examined
+                assert (found != []) == (target == encrypted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exhaustive_count_agrees_with_the_reference_on_tie_heavy_keys(data):
+    """Keys full of equal products, and targets one off a product of about 2000 bits."""
+    n = data.draw(st.integers(12, 14), label="n")
+    h = data.draw(st.sampled_from([h for h in range(4, n + 1) if attacks._count_pays(n, h)]))
+    kind = data.draw(st.sampled_from(("powers", "repeats", "multiples")), label="kind")
+    if kind == "powers":
+        u = [1 << j for j in data.draw(st.permutations(range(n)))]
+    else:
+        width = 2000 // h  # bits per u_i, so a product has about 2000 bits
+        u = [data.draw(st.integers(1 << (width - 1), 1 << width)) for _ in range(n)]
+        for j in range(1, n):
+            i = data.draw(st.integers(0, j - 1))
+            if data.draw(st.booleans()):
+                u[j] = u[i] * (1 if kind == "repeats" else data.draw(st.integers(2, 5)))
+    pk = akleylek.AkleylekPublicKey(n=n, p=2**4423 - 1, s=(3,) * n, u=tuple(u))
+    chosen = prod(u[j] for j in data.draw(st.permutations(range(n)))[:h])
+    target = chosen + data.draw(st.sampled_from((-1, 0, 1)), label="offset")
+    assume(target >= 1)
+    exh = attacks.exhaustive_subset_attack(pk, akleylek.AkleylekCiphertext(3**h, target))
+    assert exh.candidates == reference_candidates(u, h, target)
+    within = sum(1 for idx in itertools.combinations(u, h) if prod(idx) <= target)
+    assert exh.subsets_examined == within
+
+
 # primes above every base value below, so none divides any u_i
 PRIMES_OUTSIDE_THE_KEY = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
