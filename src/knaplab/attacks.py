@@ -12,11 +12,16 @@ large n must be.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat, takewhile
-from math import comb, log2, prod
+from functools import partial
+from itertools import accumulate, compress, repeat, takewhile
+from math import comb, gcd, log2, prod
 from operator import add
+from struct import pack
+from sys import hash_info
+from weakref import WeakKeyDictionary
 
 from .errors import MalformedCiphertext, ParameterError
 from .numtheory import (
@@ -31,6 +36,7 @@ from .schemes import scheme_of
 
 MAX_LIST_ENTRIES = 1 << 22  # MITM memory cap: list entries summed over both halves
 FILTER_MODULUS = 1073741789  # largest prime below 2^30: one CPython digit per residue
+COMPACT_LIST_ENTRIES = 1 << 16  # count lists of a half past this: arrays, 16 B an entry, not 72
 MEDIUM_ENTROPY_THRESHOLD = 0.9  # binary entropy of h/n above which the regime is "medium"
 
 
@@ -319,8 +325,11 @@ def _log_lists(logs, bit, least, first: int, stop: int, h: int, bound: float):
     smallest logs among [0, first) and (t, n) is at most bound.
     """
     n = len(logs)
-    kept_logs: list[list[float]] = [[0.0]] + [[] for _ in range(h)]
-    kept_masks: list[list[int]] = [[0]] + [[] for _ in range(h)]
+    # the count runs only for n <= 57, so every mask fits an unsigned 64-bit entry
+    big = sum(comb(stop - first, w) for w in range(h + 1)) > COMPACT_LIST_ENTRIES
+    new_logs, new_masks = (partial(array, "d"), partial(array, "Q")) if big else (list, list)
+    kept_logs = [new_logs([0.0])] + [new_logs() for _ in range(h)]
+    kept_masks = [new_masks([0])] + [new_masks() for _ in range(h)]
     for t in range(first, stop):
         at, mark = logs[t], bit[t]
         for w in range(min(h, t - first + 1), 0, -1):  # descending: level w-1 is still without t
@@ -337,13 +346,13 @@ def _log_lists(logs, bit, least, first: int, stop: int, h: int, bound: float):
     return kept_logs, kept_masks
 
 
-def _products_by_weight(factors, p: int, first: int, weight_cap: int) -> list[list[int]]:
-    """Per weight w <= cap, first * the product mod p of each w-subset, in colex order.
+def _products_by_weight(factors, p: int, weight_cap: int) -> list[list[int]]:
+    """Per weight w <= cap, the product mod p of each w-subset of factors, in colex order.
 
     Position pos of list w holds the subset {c_1 < ... < c_w} with
     C(c_1, 1) + ... + C(c_w, w) = pos, which _colex_subset recovers.
     """
-    products: list[list[int]] = [[first % p]] + [[] for _ in range(weight_cap)]
+    products: list[list[int]] = [[1]] + [[] for _ in range(weight_cap)]
     for factor in factors:
         for w in range(weight_cap, 0, -1):  # descending: level w-1 is still without factor
             products[w].extend(map(p.__rmod__, map(factor.__mul__, products[w - 1])))
@@ -363,29 +372,67 @@ def _colex_subset(pos: int, w: int, size: int) -> list[int]:
     return out
 
 
+def _inverses(values, q: int) -> list[int]:
+    """Every value's inverse mod q from one mod_inv, by Montgomery's batch trick."""
+    prefix = list(accumulate(values, lambda a, b: a * b % q, initial=1))
+    inverse, out = mod_inv(prefix.pop(), q), []  # exists iff every value's does
+    for value, before in zip(reversed(values), reversed(prefix)):
+        out.append(inverse * before % q)
+        inverse = inverse * value % q
+    return out[::-1]
+
+
+# Per public key, its MITM tables by (split, q); an entry lives exactly as long as its key.
+_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _tables(pk, split: int, q: int, h: int):
+    """(h, right inverses, left, right) for (split, q), built once and again for a larger h.
+
+    left[w] lists prod_A u mod q over the left subsets A of weight w, and
+    right[w] prod_B u^-1 mod q over the right ones, in colex order.  Above
+    weight h // 2 only their hashes are kept, in an array('q').
+    """
+    tables = _TABLES.get(pk, {}).get((split, q))
+    if tables is None or tables[0] < h:
+        try:
+            inverses = _inverses(pk.u[split:], q)
+        except ValueError:
+            raise ParameterError("a public u_i is not invertible mod p") from None
+        sides = [_products_by_weight(f, q, h) for f in ([x % q for x in pk.u[:split]], inverses)]
+        exact = q < hash_info.modulus  # then hash(x) == x: a residue is its own hash
+        for side in sides:
+            for w in range(h // 2 + 1, h + 1):
+                hashes = side[w] if exact else map(hash, side[w])
+                side[w] = array("q", pack(f"{len(side[w])}q", *hashes))
+        tables = _TABLES.setdefault(pk, {})[split, q] = (h, inverses, *sides)
+    return tables
+
+
 def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
     """Meet-in-the-middle over a left/right index split, matched mod a prime q.
 
-    The left list holds every subset product over indices [0, split) mod q,
-    keyed by weight.  The right list starts at the target and multiplies in
-    the precomputed inverses of u_split..u_(n-1), so a right subset R of
-    weight w holds target / prod(u_R) mod q, which is exactly the product a
-    left subset of weight h - w must have.  Each weight pair is matched by
-    intersecting the two sets of products; only on a hit are both lists
-    filtered, so every left and every right subset sharing a hit product
-    is paired.
+    Only the target T depends on the ciphertext, so the lists are built
+    once per public key, split and q, and kept while the key object
+    lives: the left one holds every subset product over [0, split) mod q,
+    the right one every product of the inverses of u_split..u_(n-1).
+    Subsets A and B of weights h - w and w match iff prod_A = t * prod_B^-1
+    (mod q), t = T mod q.  Each weight pair multiplies t (or t^-1) into
+    the side of lower weight only, and looks those values' hashes up among
+    the other side's.  Every hit is confirmed on exact values, so a hash
+    collision costs only time.  A t with no inverse (only a composite p
+    admits a nonzero one) streams the right side at every weight.
 
     A target reduced mod p (C1'' of the hardened scheme) is matched with
     q = p, where the congruence is the whole equation.  An unreduced
     target is an exact integer product, so there the congruence is only a
     filter and q = FILTER_MODULUS, whose residues each fit one CPython
     digit.  Every exact solution passes it while no u_i is a multiple of
-    q, and each hit is confirmed by its integer product before it counts.
-    A key with such a u_i falls back to q = p, where a right-half u_j with
-    no inverse mod p is refused.  The candidate set equals the exhaustive
-    attack's; only the cost profile changes.  subsets_examined counts list
-    entries, not pairs; the lists hold only subsets of weight <= h, and
-    MAX_LIST_ENTRIES caps that count.
+    q; a key with such a u_i falls back to q = p, where a right-half u_j
+    with no inverse mod p is refused.  The candidate set equals the
+    exhaustive attack's; only the cost profile changes.  subsets_examined
+    counts list entries, not pairs; the lists hold only subsets of weight
+    <= h, and MAX_LIST_ENTRIES caps that count.
     """
     start = time.perf_counter()
     n = pk.n
@@ -394,35 +441,41 @@ def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
     if not 1 <= split < n:
         raise ParameterError(f"split must lie in [1, {n - 1}]")
     h, target, reduced = _weight_and_target(pk, ct)
-    if _list_entries(n, split, h) > MAX_LIST_ENTRIES:
+    entries = _list_entries(n, split, h)
+    if entries > MAX_LIST_ENTRIES:
         raise ParameterError("split exceeds the memory cap")
     u = pk.u
     q = pk.p if reduced or not all(x % FILTER_MODULUS for x in u) else FILTER_MODULUS
-    try:
-        inverses = [mod_inv(u[j], q) for j in range(split, n)]
-    except ValueError:
-        raise ParameterError("a public u_i is not invertible mod p") from None
-    left = _products_by_weight([x % q for x in u[:split]], q, 1, h)
-    right = _products_by_weight(inverses, q, target, h)
+    _, inverses, left, right = _tables(pk, split, q, h)
+    t = target % q
+    t_inv = pow(t, -1, q) if gcd(t, q) == 1 else None
+    if not t_inv:
+        right = _products_by_weight(inverses, q, h)
     found = []
-    for w, want in enumerate(right):
-        have = left[h - w]
-        hits = set(have).intersection(want)
+    for w in range(h + 1):
+        stream_right = w <= h - w or not t_inv
+        if stream_right:  # t * prod_B^-1 against the left products
+            factor, streamed, scanned = t, right[w], left[h - w]
+        else:  # prod_A * t^-1 against the right inverse products
+            factor, streamed, scanned = t_inv, left[h - w], right[w]
+        keys = list(map(hash, map(q.__rmod__, map(factor.__mul__, streamed))))
+        if isinstance(scanned, list):  # residues, not yet hashes
+            scanned = list(map(hash, scanned))
+        hits = set(keys).intersection(scanned)
         if not hits:
             continue
-        by_product: dict[int, list[list[int]]] = {}
-        for pos in compress(range(len(have)), map(hits.__contains__, have)):
-            by_product.setdefault(have[pos], []).append(_colex_subset(pos, h - w, split))
-        for pos in compress(range(len(want)), map(hits.__contains__, want)):
-            tail = [split + c for c in _colex_subset(pos, w, n - split)]
-            for head in by_product[want[pos]]:
-                chosen = head + tail
-                if reduced or prod(map(u.__getitem__, chosen)) == target:
+        for pos in compress(range(len(scanned)), map(hits.__contains__, scanned)):
+            for other in compress(range(len(keys)), map(scanned[pos].__eq__, keys)):
+                i, j = (pos, other) if stream_right else (other, pos)
+                chosen = _colex_subset(i, h - w, split)
+                chosen += [split + c for c in _colex_subset(j, w, n - split)]
+                product = prod(map(u.__getitem__, chosen))
+                if (product % pk.p if reduced else product) == target:
                     found.append(BitVector.from_indices(n, chosen))
     return AttackReport(
         recovered_h=h,
         candidates=tuple(sorted(found)),
-        subsets_examined=sum(map(len, left)) + sum(map(len, right)),
+        subsets_examined=entries,
         predicted_bound=entropy_bound(n, h),
         elapsed=time.perf_counter() - start,
     )

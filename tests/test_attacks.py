@@ -1,6 +1,7 @@
 """Attack suite: weight recovery, subset searches, and the cost profile."""
 
 import bisect
+import gc
 import hashlib
 import itertools
 import random
@@ -596,6 +597,141 @@ def test_mitm_inverts_once_per_right_index_and_lists_every_subset(monkeypatch):
                 assert {modulus for _, modulus in calls} == {filtered}
                 listed = sum(comb(split, w) + comb(12 - split, w) for w in range(h + 1))
                 assert report.subsets_examined == listed
+
+
+def _mitm_report(pk, ct, split=None):
+    """A MITM report without its elapsed time."""
+    report = attacks.mitm_subset_attack(pk, ct, split)
+    return report.recovered_h, report.candidates, report.subsets_examined, report.predicted_bound
+
+
+def _weight_h_ciphertext(pk, rng, h):
+    """A ciphertext of pk whose attacked subset, drawn from rng, has weight h."""
+    chosen = BitVector.from_indices(pk.n, rng.sample(range(pk.n), h))
+    if isinstance(pk, modified.ModifiedPublicKey):
+        while chosen.as_int < 2:  # the randomness r must not be 0 or 1
+            chosen = BitVector.from_indices(pk.n, rng.sample(range(pk.n), h))
+        return modified.encrypt_with_randomness(pk, rng.randrange(1, pk.max_message + 1), chosen)
+    return akleylek.encrypt(pk, chosen)
+
+
+def test_warm_mitm_tables_give_the_cold_report_in_any_order_of_weights():
+    rng = random.Random(23)
+    keys = [akleylek.keygen(14, attacks_bits(14), rng)[0], modified.keygen(14, 10, rng)[0]]
+    for pk in keys:
+        calls = [(h, rng.choice((None, 4))) for h in range(1, 9) for _ in range(20)]
+        rng.shuffle(calls)
+        attacks._TABLES.clear()
+        for h, split in calls:
+            ct = _weight_h_ciphertext(pk, rng, h)
+            warm = _mitm_report(pk, ct, split)
+            kept = dict(attacks._TABLES[pk])
+            attacks._TABLES.clear()
+            assert warm == _mitm_report(pk, ct, split)
+            attacks._TABLES[pk] = kept  # the next call sees every table built so far
+            assert warm[1] == attacks.exhaustive_subset_attack(pk, ct).candidates
+
+
+def test_a_warm_mitm_call_inverts_nothing(monkeypatch):
+    calls = []
+
+    def counting_mod_inv(a, modulus):
+        calls.append(modulus)
+        return pow(a, -1, modulus)
+
+    monkeypatch.setattr(attacks, "mod_inv", counting_mod_inv)
+    rng = random.Random(5)
+    attacks._TABLES.clear()
+    for pk in (akleylek.keygen(12, attacks_bits(12), rng)[0], modified.keygen(12, 10, rng)[0]):
+        attacks.mitm_subset_attack(pk, _weight_h_ciphertext(pk, rng, 6))
+        assert calls
+        calls.clear()
+        for h in (6, 3, 1, 5):
+            assert attacks.mitm_subset_attack(pk, _weight_h_ciphertext(pk, rng, h)).candidates
+        assert calls == []
+
+
+def test_mitm_tables_live_as_long_as_their_key_and_a_failed_build_keeps_none():
+    attacks._TABLES.clear()
+    pk, _ = akleylek.keygen(10, attacks_bits(10), random.Random(8))
+    ct = akleylek.encrypt(pk, BitVector.from_indices(10, [1, 4, 7]))
+    attacks.mitm_subset_attack(pk, ct)
+    attacks.mitm_subset_attack(pk, ct, split=3)
+    assert len(attacks._TABLES) == 1 and len(attacks._TABLES[pk]) == 2
+    del pk
+    gc.collect()
+    assert len(attacks._TABLES) == 0
+    # 3 * FILTER_MODULUS forces matching mod p = 5 * FILTER_MODULUS, where it has no inverse
+    q = attacks.FILTER_MODULUS
+    fields = [("n", "2"), ("p", f"{5 * q:x}"), ("s", "2,2"), ("u", f"4,{3 * q:x}")]
+    pub = keyfile.parse_key(keyfile._emit("original", "public", fields))
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            attacks.mitm_subset_attack(pub, akleylek.AkleylekCiphertext(2, 3 * q), split=1)
+        assert pub not in attacks._TABLES
+
+
+def test_equal_keys_parsed_from_one_text_give_equal_reports():
+    rng = random.Random(9)
+    for pk in (akleylek.keygen(12, attacks_bits(12), rng)[0], modified.keygen(12, 10, rng)[0]):
+        text = keyfile.serialize_key(pk)
+        first, second = keyfile.parse_key(text), keyfile.parse_key(text)
+        assert first == second and first is not second
+        attacks._TABLES.clear()
+        cts = [_weight_h_ciphertext(pk, rng, h) for h in (5, 2, 7)]
+        for ct in cts:
+            assert _mitm_report(first, ct) == _mitm_report(second, ct)
+        expected = [_mitm_report(first, ct) for ct in cts]
+        del first  # drops the tables the two keys shared
+        gc.collect()
+        assert [_mitm_report(second, ct) for ct in cts] == expected
+
+
+def test_mitm_on_targets_that_the_matching_modulus_divides():
+    # A normal original key, matched mod FILTER_MODULUS: a target that prime
+    # divides has t = 0, and no subset of the u_i reaches it.
+    q = attacks.FILTER_MODULUS
+    rng = random.Random(12)
+    pk, _ = akleylek.keygen(10, attacks_bits(10), rng)
+    assert all(x % q for x in pk.u)
+    for h in (1, 3, 5, 10):
+        for target in (q, q * prod(rng.sample(pk.u, h - 1)), q**h):
+            ct = akleylek.AkleylekCiphertext(pow(pk.s_value, h), target)
+            assert reference_candidates(pk.u, h, target) == ()
+            for split in (None, 1, 9):
+                assert attacks.mitm_subset_attack(pk, ct, split).candidates == ()
+    # A hand-edited key with a composite p above 2^61, matched mod p, where a
+    # hash is not its residue: t = 15q and t = 21 share a factor with p, and
+    # both have solutions.
+    u = [3, 5, 3 * q, 7, 11, 13]
+    hex_u = ",".join(f"{x:x}" for x in u)
+    fields = [("n", "6"), ("p", f"{15 * q << 41:x}"), ("s", ",".join(["2"] * 6)), ("u", hex_u)]
+    pub = keyfile.parse_key(keyfile._emit("original", "public", fields))
+    for target in (15 * q, 21, 3 * 7 * 11, 45 * q * 11):
+        attacks._TABLES.clear()  # so each h builds tables of its own
+        for h in range(1, 7):
+            expected = reference_candidates(u, h, target)
+            ct = akleylek.AkleylekCiphertext(2**h, target)
+            for split in (3, 4, 5):  # 3, 5 and 3q, not invertible mod p, stay left
+                assert attacks.mitm_subset_attack(pub, ct, split).candidates == expected
+            assert bool(expected) == ((h, target) in ((2, 15 * q), (2, 21), (3, 231), (4, 495 * q)))
+
+
+def test_count_lists_held_in_arrays_give_the_same_report(monkeypatch):
+    # the count never runs past n = 57, so its masks always fit 64 bits
+    assert not any(attacks._count_pays(n, h) for n in range(58, 129) for h in range(1, n + 1))
+    rng = random.Random(31)
+    keys = [akleylek.keygen(20, attacks_bits(20), rng)[0] for _ in range(2)]
+    cts = [(pk, _weight_h_ciphertext(pk, rng, h)) for pk in keys for h in (6, 7, 8) for _ in range(3)]
+    reports = {}
+    for compact in (attacks.COMPACT_LIST_ENTRIES, 0):
+        monkeypatch.setattr(attacks, "COMPACT_LIST_ENTRIES", compact)
+        reports[compact] = [attacks.exhaustive_subset_attack(pk, ct) for pk, ct in cts]
+    lists, arrays = reports.values()
+    for a, b in zip(lists, arrays):
+        assert (a.candidates, a.subsets_examined) == (b.candidates, b.subsets_examined)
+    logs, masks = attacks._log_lists([1.0] * 4, [8, 4, 2, 1], [[0.0] * 5] * 3, 0, 2, 2, 9.0)
+    assert {type(x).__name__ for x in logs + masks} == {"array"}
 
 
 def test_complexity_profile_regimes():
