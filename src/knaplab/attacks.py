@@ -2,11 +2,11 @@
 
 The constant first component of every public pair leaks the Hamming weight
 of whatever was encrypted (C1 is just s^h), which collapses the search space
-from 2^n to n-choose-h.  The exhaustive attack walks exactly that space; the
-meet-in-the-middle attack trades memory for time by splitting the index set
-and matching half-products, and also runs against the hardened scheme's
-reduced C1'' component, where it is the birthday search that dictates how
-large n must be.
+from 2^n to n-choose-h.  The exhaustive attack decides every subset in that
+space, walking them or counting two lists of logs; the meet-in-the-middle
+attack trades memory for time by splitting the index set and matching
+half-products, and also runs against the hardened scheme's reduced C1''
+component, where it is the birthday search that dictates how large n must be.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, compress, repeat, takewhile
 from math import comb, gcd, log2, prod
-from operator import add
 from struct import pack
 from sys import hash_info
 from weakref import WeakKeyDictionary
@@ -36,7 +34,6 @@ from .schemes import scheme_of
 
 MAX_LIST_ENTRIES = 1 << 22  # MITM memory cap: list entries summed over both halves
 FILTER_MODULUS = 1073741789  # largest prime below 2^30: one CPython digit per residue
-COMPACT_LIST_ENTRIES = 1 << 16  # count lists of a half past this: arrays, 16 B an entry, not 72
 MEDIUM_ENTROPY_THRESHOLD = 0.9  # binary entropy of h/n above which the regime is "medium"
 
 
@@ -247,116 +244,76 @@ def _count_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
 
     u is ascending and split at n // 2, in the two-list manner of Horowitz
     and Sahni (J. ACM 1974) and Schroeppel and Shamir (SIAM J. Comput.
-    1981).  Each half lists, per weight w, the log2 products of its
-    subsets with their masks.  A subset of weight w ending at index t is
-    kept only if its log plus the h - w smallest logs it could still take
-    (the first ones of the left half for a right subset, then those after
-    t) is at most log2 T + eps.  Every subset examined in full keeps both
-    its halves, and each kept entry starts an examined subset (or one
-    within eps of T), so no list is longer than the count.  For each weight pair (w, h - w) the right
-    list is sorted, and a left log a counts the right logs below
-    log2 T - a - eps by bisection; those pairs are below T for sure.
-    Right logs above log2 T - a + eps are above T for sure.  The pairs in
-    between are decided on exact integers rebuilt from their masks, and
-    every match and every tie lands there, so the count and the
-    candidates are exact.
+    1981).  Each half lists the log2 products of its subsets per weight, in
+    the MITM's colex order.  For each weight pair (w, h - w) the right logs
+    above log2 T + eps - left[w][0] are cut: colex position 0 holds the w
+    least left u_i, so a cut log lands above the band for every left entry.
+    The kept positions are sorted by log, and a left log a counts the right
+    logs below log2 T - a - eps by bisection: those pairs are below T for
+    sure, and those above log2 T - a + eps above it.  The pairs in between
+    are unranked and decided on exact integers; every match and every tie
+    lands there, so the count and the candidates are exact.
 
     eps bounds the float error with room to spare.  math.log2 of an int
     errs by at most 2^-51 * max(1, its log2), and each float addition or
     subtraction rounds by at most 2^-53 of its result.  A decision that
-    matters compares sums of at most n logs, each at most about log2 T,
-    with log2 T + eps or log2 T - eps less at most three more terms: at
-    most 2n + 8 roundings, each below 2^-51 * max(1, log2 T) up to a
-    factor 1 + 2^-40.  eps = (2n + 8) * 2^-50 * max(1, log2 T) is twice
-    their sum.
+    matters, the cut's included, compares a sum of logs with log2 T + eps or
+    log2 T - eps less another, at most n logs, each about log2 T or less: at
+    most 2n + 8 roundings, each below 2^-51 * max(1, log2 T) up to a factor
+    1 + 2^-40.  eps = (2n + 8) * 2^-50 * max(1, log2 T) is twice their sum.
     """
     n = len(u)
     if prod(u[:h]) > target:  # the h smallest exceed it: nothing is examined
         return [], 0
     log_t = log2(target)
     eps = (2 * n + 8) * 2.0**-50 * max(1.0, log_t)
-    logs = list(map(log2, u))
-    # least[k][i] = logs_i + ... + logs_(i+k-1), the smallest k logs from i on
-    least = [[0.0] * (n + 1), logs]
-    for k in range(2, h + 1):
-        least.append(list(map(add, logs, least[-1][1:])))
-    split = n // 2
-    left_logs, left_masks = _log_lists(logs, bit, least, 0, split, h, log_t + eps)
-    right_logs, right_masks = _log_lists(logs, bit, least, split, n, h, log_t + eps)
-    factor = dict(zip(bit, u))
-
-    def product(mask: int) -> int:
-        out = 1
-        while mask:
-            low = mask & -mask
-            out *= factor[low]
-            mask ^= low
-        return out
-
     below, above = log_t - eps, log_t + eps
+    split, logs = n // 2, list(map(log2, u))
+    left, right = (_colex_lists(x, h, array("d", [0]), _add) for x in (logs[:split], logs[split:]))
     found: list[int] = []
     examined = 0
-    for w in range(h + 1):
-        have, want = left_logs[w], right_logs[h - w]
-        if not have or not want:
-            continue
-        order = sorted(range(len(want)), key=want.__getitem__)
+    for w in range(max(0, h + split - n), min(h, split) + 1):  # both lists nonempty
+        have, want = left[w], right[h - w]
+        cut = above - have[0]
+        order = sorted(compress(range(len(want)), map(cut.__ge__, want)), key=want.__getitem__)
         ordered = list(map(want.__getitem__, order))
         sure = list(map(bisect_left, repeat(ordered), map(below.__sub__, have)))
         near = list(map(bisect_right, repeat(ordered), map(above.__sub__, have)))
         examined += sum(sure)
         for i in compress(range(len(have)), map(int.__lt__, sure, near)):
-            head = left_masks[w][i]
-            partial = product(head)
+            head = _colex_subset(i, w, split)
+            partial = prod(map(u.__getitem__, head))
             for j in range(sure[i], near[i]):
-                tail = right_masks[h - w][order[j]]
-                full = partial * product(tail)
+                tail = [split + c for c in _colex_subset(order[j], h - w, n - split)]
+                full = partial * prod(map(u.__getitem__, tail))
                 if full <= target:
                     examined += 1
                     if full == target:
-                        found.append(head | tail)
+                        found.append(sum(map(bit.__getitem__, head + tail)))
     return found, examined
 
 
-def _log_lists(logs, bit, least, first: int, stop: int, h: int, bound: float):
-    """Per weight w <= h, the logs and masks of the kept subsets of [first, stop).
+def _add(factor, level):
+    """The count's join: each log sum of a level plus one more log."""
+    return map(factor.__add__, level)
 
-    A subset of weight w ending at t is kept iff its log plus the h - w
-    smallest logs among [0, first) and (t, n) is at most bound.
+
+def _times_mod(q: int):
+    """The MITM's join mod q: each product of a level times one more factor."""
+    return lambda factor, level: map(q.__rmod__, map(factor.__mul__, level))
+
+
+def _colex_lists(factors, weight_cap: int, unit, join) -> list:
+    """Per weight w <= cap, join folded over each w-subset of factors, in colex order.
+
+    unit, the list of weight 0, sets the lists' type.  Position pos of list w
+    holds {c_1 < ... < c_w} with sum_i C(c_i, i) = pos; _colex_subset inverts it.
     """
-    n = len(logs)
-    # the count runs only for n <= 57, so every mask fits an unsigned 64-bit entry
-    big = sum(comb(stop - first, w) for w in range(h + 1)) > COMPACT_LIST_ENTRIES
-    new_logs, new_masks = (partial(array, "d"), partial(array, "Q")) if big else (list, list)
-    kept_logs = [new_logs([0.0])] + [new_logs() for _ in range(h)]
-    kept_masks = [new_masks([0])] + [new_masks() for _ in range(h)]
-    for t in range(first, stop):
-        at, mark = logs[t], bit[t]
-        for w in range(min(h, t - first + 1), 0, -1):  # descending: level w-1 is still without t
-            before = min(h - w, first)  # taken from [0, first), the rest from t + 1 on
-            after = h - w - before
-            if t + 1 + after > n:
-                continue
-            room = bound - at - least[before][0] - least[after][t + 1]
-            if room < 0:
-                continue
-            keep = list(map(room.__ge__, kept_logs[w - 1]))
-            kept_logs[w].extend(map(at.__add__, compress(kept_logs[w - 1], keep)))
-            kept_masks[w].extend(map(mark.__or__, compress(kept_masks[w - 1], keep)))
-    return kept_logs, kept_masks
-
-
-def _products_by_weight(factors, p: int, weight_cap: int) -> list[list[int]]:
-    """Per weight w <= cap, the product mod p of each w-subset of factors, in colex order.
-
-    Position pos of list w holds the subset {c_1 < ... < c_w} with
-    C(c_1, 1) + ... + C(c_w, w) = pos, which _colex_subset recovers.
-    """
-    products: list[list[int]] = [[1]] + [[] for _ in range(weight_cap)]
+    lists = [unit] + [unit[:0] for _ in range(weight_cap)]
     for factor in factors:
         for w in range(weight_cap, 0, -1):  # descending: level w-1 is still without factor
-            products[w].extend(map(p.__rmod__, map(factor.__mul__, products[w - 1])))
-    return products
+            lists[w].extend(join(factor, lists[w - 1]))
+    return lists
 
 
 def _colex_subset(pos: int, w: int, size: int) -> list[int]:
@@ -399,7 +356,8 @@ def _tables(pk, split: int, q: int, h: int):
             inverses = _inverses(pk.u[split:], q)
         except ValueError:
             raise ParameterError("a public u_i is not invertible mod p") from None
-        sides = [_products_by_weight(f, q, h) for f in ([x % q for x in pk.u[:split]], inverses)]
+        halves = ([x % q for x in pk.u[:split]], inverses)
+        sides = [_colex_lists(f, h, [1], _times_mod(q)) for f in halves]
         exact = q < hash_info.modulus  # then hash(x) == x: a residue is its own hash
         for side in sides:
             for w in range(h // 2 + 1, h + 1):
@@ -436,6 +394,8 @@ def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
     """
     start = time.perf_counter()
     n = pk.n
+    if n < 2:
+        raise ParameterError("the meet-in-the-middle search needs two positions to split")
     if split is None:
         split = n // 2
     if not 1 <= split < n:
@@ -450,7 +410,7 @@ def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
     t = target % q
     t_inv = pow(t, -1, q) if gcd(t, q) == 1 else None
     if not t_inv:
-        right = _products_by_weight(inverses, q, h)
+        right = _colex_lists(inverses, h, [1], _times_mod(q))
     found = []
     for w in range(h + 1):
         stream_right = w <= h - w or not t_inv

@@ -1,11 +1,14 @@
 """Attack suite: weight recovery, subset searches, and the cost profile."""
 
 import bisect
+import functools
 import gc
 import hashlib
 import itertools
+import operator
 import random
-from math import comb, prod
+from array import array
+from math import comb, log2, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -717,21 +720,22 @@ def test_mitm_on_targets_that_the_matching_modulus_divides():
             assert bool(expected) == ((h, target) in ((2, 15 * q), (2, 21), (3, 231), (4, 495 * q)))
 
 
-def test_count_lists_held_in_arrays_give_the_same_report(monkeypatch):
-    # the count never runs past n = 57, so its masks always fit 64 bits
-    assert not any(attacks._count_pays(n, h) for n in range(58, 129) for h in range(1, n + 1))
-    rng = random.Random(31)
-    keys = [akleylek.keygen(20, attacks_bits(20), rng)[0] for _ in range(2)]
-    cts = [(pk, _weight_h_ciphertext(pk, rng, h)) for pk in keys for h in (6, 7, 8) for _ in range(3)]
-    reports = {}
-    for compact in (attacks.COMPACT_LIST_ENTRIES, 0):
-        monkeypatch.setattr(attacks, "COMPACT_LIST_ENTRIES", compact)
-        reports[compact] = [attacks.exhaustive_subset_attack(pk, ct) for pk, ct in cts]
-    lists, arrays = reports.values()
-    for a, b in zip(lists, arrays):
-        assert (a.candidates, a.subsets_examined) == (b.candidates, b.subsets_examined)
-    logs, masks = attacks._log_lists([1.0] * 4, [8, 4, 2, 1], [[0.0] * 5] * 3, 0, 2, 2, 9.0)
-    assert {type(x).__name__ for x in logs + masks} == {"array"}
+def test_colex_lists_unrank_to_the_subset_each_position_holds():
+    """Both joins, the MITM's products mod q and the count's log sums, keep one rank contract."""
+    q = attacks.FILTER_MODULUS
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for size in range(1, 11):
+        factors = primes[:size]
+        logs = list(map(log2, factors))
+        products = attacks._colex_lists(factors, size, [1], attacks._times_mod(q))
+        sums = attacks._colex_lists(logs, size, array("d", [0.0]), attacks._add)
+        for w in range(size + 1):
+            assert len(products[w]) == len(sums[w]) == comb(size, w)
+            for pos in range(comb(size, w)):
+                chosen = sorted(attacks._colex_subset(pos, w, size))
+                assert len(set(chosen)) == w and all(0 <= c < size for c in chosen)
+                assert products[w][pos] == prod(factors[c] for c in chosen) % q
+                assert sums[w][pos] == functools.reduce(operator.add, (logs[c] for c in chosen), 0.0)
 
 
 def test_complexity_profile_regimes():

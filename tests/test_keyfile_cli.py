@@ -702,6 +702,10 @@ REFUSED_INPUTS = {
          "OUT"],
         "need n >= 2",
     ),
+    "mitm-one-position-key": (
+        ["attack", "--key", "ONE_POSITION_PUB", "--ciphertext", "104 2165", "--strategy", "mitm"],
+        "needs two positions",
+    ),
     "encrypt-unequal-s": (
         ["encrypt", "--key", "TOY_BAD_S", "--message", "01001"], "s components must be equal"
     ),
@@ -727,6 +731,9 @@ def refusal_files(toy_pub_text, toy_params_text):
         "MODIFIED_SEC": tiny_modified_key_texts(23, 5)[1],
         "NO_EQUALS": toy_pub_text.replace("p=a13", "p a13"),
         "OVERSIZED_N_PUB": OVERSIZED_N_PUBLIC_KEY,
+        "ONE_POSITION_PUB": toy_pub_text.replace("n=5", "n=1")
+        .replace("s=68,68,68,68,68", "s=68")
+        .replace("u=875,7a6,539,5f,be", "u=875"),
         "SMALL_P_SEC": tiny_modified_key_texts(5, 2, 3, 3)[1],  # primes 2 * 3 >= 5
         "BIG_N_SEC": tiny_modified_key_texts(11, 2, 3, 3)[1],  # n = 2 needs q >= 2^3
         "TOY_PARAMS": toy_params_text,
