@@ -136,38 +136,57 @@ def decrypt_all(
     runs over weight-h subsets of the sequence whose product equals d.  An
     empty result is a decryption failure; two or more results mean the key
     cannot decode this ciphertext uniquely.
+
+    Once h is read, d = C2 * (y^k)^(-h) mod p, which equals decrypt_d's
+    C2 * (C1^x)^(-1) without raising C1 to x.  The walk runs over the
+    ascending terms that divide d, carries the exact quotient d / P of the
+    partial product P, and drops a branch on a nonzero remainder.  A loop
+    that still has to pick k terms ends at the first a_i whose smallest
+    completion a_i * ... * a_(i+k-1) exceeds the quotient, and the last
+    term is the quotient itself, looked up by value: super-increasing
+    terms are distinct.
     """
-    n = sk.n
+    n, s = sk.n, sk.s_value
     if n > limit:
         raise ParameterError(f"n={n} exceeds the exhaustive scan limit {limit}")
-    h = power_index(sk.s_value, ct.c1, n)
+    if s < 2:
+        raise ParameterError(f"s = {s} makes C1 = {s} for every weight, so C1 cannot reveal h")
+    h = power_index(s, ct.c1, n)
     if h is None:
         return ()
     try:
-        d = decrypt_d(sk, ct)
+        d = sk.unmask_weight(h, ct.c2)
     except (MalformedCiphertext, ValueError):
         return ()
-    terms = sk.a.terms
+    if d < 1:
+        return ()  # C2 = 0 mod p: every term divides 0, but no product of terms is 0
+    if h == 0:
+        return (BitVector.from_indices(n, ()),) if d == 1 else ()
+    # Every term of a match divides d, so the walk runs over those terms only.
+    index = [i for i, t in enumerate(sk.a.terms) if not d % t]
+    terms = [sk.a.terms[i] for i in index]
+    position = {t: j for j, t in enumerate(terms)}
+    # least[k][j] = terms[j] * ... * terms[j+k-1], the smallest product of k terms from j on
+    least = [[], terms]
+    for k in range(2, h + 1):
+        least.append([a * b for a, b in zip(terms, least[-1][1:])])
     found: list[BitVector] = []
 
-    def walk(idx: int, chosen: list[int], partial: int):
-        if len(chosen) == h:
-            if partial == d:
-                found.append(BitVector.from_indices(n, chosen))
+    def walk(first: int, left: int, chosen: tuple[int, ...], quotient: int):
+        if left == 1:
+            j = position.get(quotient, -1)
+            if j >= first:
+                found.append(BitVector.from_indices(n, (*chosen, index[j])))
             return
-        if partial > d or n - idx < h - len(chosen):
-            return
-        for j in range(idx, n):
-            nxt = partial * terms[j]
-            if nxt > d:
+        smallest = least[left]
+        for j in range(first, len(terms) - left + 1):
+            if smallest[j] > quotient:
                 break  # terms ascend, so every later branch overshoots too
-            if d % nxt:
-                continue  # a partial product that does not divide d cannot complete
-            chosen.append(j)
-            walk(j + 1, chosen, nxt)
-            chosen.pop()
+            rest, remainder = divmod(quotient, terms[j])
+            if not remainder:
+                walk(j + 1, left - 1, (*chosen, index[j]), rest)
 
-    walk(0, [], 1)
+    walk(0, h, (), d)
     return tuple(sorted(found))
 
 

@@ -3,7 +3,8 @@
 A secret sequence t_1..t_n is published as the pairs (s, u_i) with s = g^k
 and u_i = y^k * t_i (mod p), where y = g^x (ElGamal, IEEE Trans. IT 1985).
 A receiver who knows x strips the mask from a ciphertext pair (C1, C) as
-C * (C1^x)^(-1) mod p; outsiders face a subset problem over the u_i.
+C * (C1^x)^(-1) mod p, or, once C1 = s^h is known, as C * (y^k)^(-h) mod p;
+outsiders face a subset problem over the u_i.
 
 The ciphers subclass these keys under their own names, adding only their
 secret sequence and their own checks; key files and the schemes module
@@ -62,10 +63,20 @@ class DisguisedSecretKey:
 
     def unmask(self, c1: int, c: int) -> int:
         """C * (C1^x)^(-1) mod p: the masked subset product behind (C1, C)."""
-        c1x = pow(c1, self.x, self.p)
-        if c1x == 0:
+        return self._strip(pow(c1, self.x, self.p), c)
+
+    def unmask_weight(self, h: int, c: int) -> int:
+        """C * (mask^h)^(-1) mod p, which is unmask(s^h, C) without raising to x.
+
+        (g^k)^(xh) = (g^x)^(kh) holds modulo any p, so this equals unmask
+        whenever C1 = s^h, and fails the same way.
+        """
+        return self._strip(pow(self.mask, h, self.p), c)
+
+    def _strip(self, factor: int, c: int) -> int:
+        if factor == 0:
             raise MalformedCiphertext("C1 shares a factor with the modulus")
-        return c * mod_inv(c1x, self.p) % self.p
+        return c * mod_inv(factor, self.p) % self.p
 
 
 def assemble(public_cls, secret_cls, group: SafePrimeGroup, x: int, k: int, seq):

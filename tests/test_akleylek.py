@@ -1,14 +1,25 @@
 """Original scheme: worked-key values, defects, and the completeness audit."""
 
+import hashlib
 import math
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knaplab import akleylek, disguise
+from knaplab import akleylek, disguise, modified
 from knaplab.errors import MalformedCiphertext, ParameterError
-from knaplab.numtheory import BitVector, SafePrimeGroup, SuperIncreasingSeq, gen_superincreasing
+from knaplab.games import suggested_modulus_bits
+from knaplab.numtheory import (
+    BitVector,
+    SafePrimeGroup,
+    SuperIncreasingSeq,
+    gen_safe_prime,
+    gen_superincreasing,
+)
 
 
 def brute_force_decryptions(terms, weight, target):
@@ -138,8 +149,119 @@ def test_decrypt_all_reads_c1_of_one_as_weight_zero(toy_keypair):
     # C1 = 1 = s^0 pins h = 0; the all-zero message decodes iff d = 1
     _, sec = toy_keypair
     zero = (BitVector((0,) * 5),)
-    for c2, expected in ((1, zero), (2, ()), (1 + 2579, zero)):
+    for c2, expected in ((1, zero), (2, ()), (1 + 2579, zero), (2579, ())):
         assert akleylek.decrypt_all(sec, akleylek.AkleylekCiphertext(1, c2)) == expected, c2
+
+
+def test_decrypt_all_rejects_c2_divisible_by_p_at_every_weight(toy_keypair):
+    # C2 = 0 mod p unmasks to d = 0: every term divides 0, but no product of terms is 0
+    pub, sec = toy_keypair
+    for h in range(pub.n + 1):
+        for c2 in (sec.p, 2 * sec.p):
+            ct = akleylek.AkleylekCiphertext(pub.s_value**h, c2)
+            assert akleylek.decrypt_all(sec, ct) == (), (h, c2)
+
+
+def tie_heavy_keypair(terms, seed):
+    """A key over the given sequence whose safe prime p just exceeds the terms' product."""
+    rng = random.Random(seed)
+    group = gen_safe_prime(math.prod(terms).bit_length() + 1, rng)
+    x, k = rng.randrange(1, group.p - 1), rng.randrange(1, group.p - 1)
+    return akleylek.keypair_from_params(group.p, group.g, x, k, terms)
+
+
+# Super-increasing sequences whose subset products tie often at one weight
+TIE_HEAVY_TERMS = (
+    tuple(1 << j for j in range(12)),  # 1, 2, 4, ...: the product is 2^(sum of exponents)
+    (2, 3) + tuple(3 << j for j in range(1, 11)),  # 2, 3, 6, 12, ...
+    (1, 3) + tuple(5 << j for j in range(8)),  # 1, 3, 5, 10, 20, ...
+)
+
+
+@pytest.mark.parametrize("terms", TIE_HEAVY_TERMS, ids=lambda t: f"{t[:4]}-n{len(t)}")
+def test_decrypt_all_matches_brute_force_on_tie_heavy_keys(terms):
+    pub, sec = tie_heavy_keypair(terms, len(terms))
+    assert math.prod(terms) < sec.p
+    n = pub.n
+    reference = cache(brute_force_decryptions)
+    ambiguous = 0
+    for value in range(1, 1 << n):
+        m = BitVector.from_int(value, n)
+        ct = akleylek.encrypt(pub, m)
+        got = akleylek.decrypt_all(sec, ct)
+        assert list(got) == reference(terms, m.weight, akleylek.decrypt_d(sec, ct)), m
+        ambiguous += len(got) >= 2
+    assert ambiguous > (1 << n) // 2
+
+
+def test_decrypt_all_outputs_are_pinned_on_seeded_keys():
+    """One sha256 over decrypt_all's candidates for 3 keys at n = 20 and h = 0..20.
+
+    Each weight gets one honest ciphertext (none at h = 0) and one with
+    C1 = s^h and a random C2 in [1, p).  The digest was computed with the
+    walk of commit 2c9301c, which divided d by growing partial products and
+    unmasked with C1^x; it must not move.
+    """
+    digest = hashlib.sha256()
+    for seed in range(3):
+        rng = random.Random(seed)
+        pub, sec = akleylek.keygen(20, suggested_modulus_bits(20), rng)
+        for h in range(21):
+            cts = [akleylek.AkleylekCiphertext(pub.s_value**h, rng.randrange(1, pub.p))]
+            if h:
+                m = BitVector.from_indices(20, rng.sample(range(20), h))
+                cts.append(akleylek.encrypt(pub, m))
+            for ct in cts:
+                digest.update(repr([str(c) for c in akleylek.decrypt_all(sec, ct)]).encode())
+    assert digest.hexdigest() == (
+        "eaec773634e97f6e729715c8ff6170e73f1df70f623d5e22c837414a8e0cb10b"
+    )
+
+
+@cache
+def seeded_secret_keys():
+    """Secret keys of both ciphers, three seeds each."""
+    bits = suggested_modulus_bits(8)
+    original = [akleylek.keygen(8, bits, random.Random(seed))[1] for seed in range(3)]
+    hardened = [modified.keygen(8, 8, random.Random(seed))[1] for seed in range(3)]
+    return original + hardened
+
+
+def strip_outcome(step, *args):
+    """What a strip step returns, or the type of the error it raises."""
+    try:
+        return step(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_weight_step_matches_unmask(sk, h, c):
+    expected = strip_outcome(sk.unmask, sk.s_value**h, c)
+    assert strip_outcome(sk.unmask_weight, h, c) == expected, (sk, h, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weight_step_equals_unmask_of_s_to_the_h_on_seeded_keys(data):
+    sk = data.draw(st.sampled_from(seeded_secret_keys()))
+    c = data.draw(st.one_of(st.integers(0, 3 * sk.p), st.just(sk.p)))
+    for h in range(sk.n + 1):
+        assert_weight_step_matches_unmask(sk, h, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weight_step_equals_unmask_of_s_to_the_h_over_a_composite_modulus(data):
+    # The original scheme does not certify its key files, so p may be composite
+    # and g, y or s may share a factor with it.
+    p = data.draw(st.integers(2, 300)) * data.draw(st.integers(2, 300))
+    g = data.draw(st.integers(0, 2 * p))
+    x, k = data.draw(st.integers(1, p - 2)), data.draw(st.integers(1, p - 2))
+    toy_terms = SuperIncreasingSeq((2, 3, 6, 12, 24))
+    sk = akleylek.AkleylekSecretKey(p, g, pow(g, x, p), x, k, toy_terms)
+    c = data.draw(st.integers(0, 3 * p))
+    for h in range(sk.n + 1):
+        assert_weight_step_matches_unmask(sk, h, c)
 
 
 def test_keygen_invariants_hold_over_many_seeds():

@@ -664,6 +664,21 @@ s=5,5,5,5
 u=2,3,4,6
 """
 
+# The toy secret key with g = 1, so y = 1 and s = g^k = 1.  It parses, since
+# the original scheme does not certify its key files, but C1 = s^h = 1 for
+# every weight h.
+G_ONE_SECRET_KEY = """version=1
+scheme=original
+role=secret
+n=5
+p=a13
+g=1
+y=1
+x=5dc
+k=15c
+a=2,3,6,c,18
+"""
+
 # argv placeholders: OUT is a fresh output path, TOY_SEC the toy secret key
 # file, and every other capitalised name a key file written from refusal_files
 REFUSED_INPUTS = {
@@ -717,6 +732,10 @@ REFUSED_INPUTS = {
         ["game", "--game", "completeness", "--scheme", "original", "--trials", "0"],
         "need at least one trial",
     ),
+    "decrypt-key-with-s-one": (
+        ["decrypt", "--key", "G_ONE_SEC", "--ciphertext", "1 2"],
+        "s = 1 makes C1 = 1 for every weight, so C1 cannot reveal h",
+    ),
     "fuzzer-no-mutations": (
         ["game", "--game", "fuzzer", "--scheme", "modified", "--mutations", "0"],
         "need at least one mutation",
@@ -736,6 +755,7 @@ def refusal_files(toy_pub_text, toy_params_text):
         .replace("u=875,7a6,539,5f,be", "u=875"),
         "SMALL_P_SEC": tiny_modified_key_texts(5, 2, 3, 3)[1],  # primes 2 * 3 >= 5
         "BIG_N_SEC": tiny_modified_key_texts(11, 2, 3, 3)[1],  # n = 2 needs q >= 2^3
+        "G_ONE_SEC": G_ONE_SECRET_KEY,
         "TOY_PARAMS": toy_params_text,
         "ZERO_TERM_PARAMS": toy_params_text.replace("a=2,3,6,c,18", "a=2,3,6,c,a13"),
     }
