@@ -23,6 +23,7 @@ from .numtheory import (
     BitVector,
     SafePrimeGroup,
     SuperIncreasingSeq,
+    divisor_subsets,
     gen_safe_prime,
     gen_superincreasing,
     power_index,
@@ -138,13 +139,9 @@ def decrypt_all(
     cannot decode this ciphertext uniquely.
 
     Once h is read, d = C2 * (y^k)^(-h) mod p, which equals decrypt_d's
-    C2 * (C1^x)^(-1) without raising C1 to x.  The walk runs over the
-    ascending terms that divide d, carries the exact quotient d / P of the
-    partial product P, and drops a branch on a nonzero remainder.  A loop
-    that still has to pick k terms ends at the first a_i whose smallest
-    completion a_i * ... * a_(i+k-1) exceeds the quotient, and the last
-    term is the quotient itself, looked up by value: super-increasing
-    terms are distinct.
+    C2 * (C1^x)^(-1) without raising C1 to x, and the matches are
+    numtheory.divisor_subsets of the secret terms and d, the walk the
+    divisor attack runs on the public u_i and C2.
     """
     n, s = sk.n, sk.s_value
     if n > limit:
@@ -158,36 +155,8 @@ def decrypt_all(
         d = sk.unmask_weight(h, ct.c2)
     except (MalformedCiphertext, ValueError):
         return ()
-    if d < 1:
-        return ()  # C2 = 0 mod p: every term divides 0, but no product of terms is 0
-    if h == 0:
-        return (BitVector.from_indices(n, ()),) if d == 1 else ()
-    # Every term of a match divides d, so the walk runs over those terms only.
-    index = [i for i, t in enumerate(sk.a.terms) if not d % t]
-    terms = [sk.a.terms[i] for i in index]
-    position = {t: j for j, t in enumerate(terms)}
-    # least[k][j] = terms[j] * ... * terms[j+k-1], the smallest product of k terms from j on
-    least = [[], terms]
-    for k in range(2, h + 1):
-        least.append([a * b for a, b in zip(terms, least[-1][1:])])
-    found: list[BitVector] = []
-
-    def walk(first: int, left: int, chosen: tuple[int, ...], quotient: int):
-        if left == 1:
-            j = position.get(quotient, -1)
-            if j >= first:
-                found.append(BitVector.from_indices(n, (*chosen, index[j])))
-            return
-        smallest = least[left]
-        for j in range(first, len(terms) - left + 1):
-            if smallest[j] > quotient:
-                break  # terms ascend, so every later branch overshoots too
-            rest, remainder = divmod(quotient, terms[j])
-            if not remainder:
-                walk(j + 1, left - 1, (*chosen, index[j]), rest)
-
-    walk(0, h, (), d)
-    return tuple(sorted(found))
+    found, _ = divisor_subsets(sk.a.terms, d, h)
+    return tuple(sorted(BitVector.from_indices(n, chosen) for chosen in found))
 
 
 def completeness_audit(

@@ -3,10 +3,10 @@
 The constant first component of every public pair leaks the Hamming weight
 of whatever was encrypted (C1 is just s^h), which collapses the search space
 from 2^n to n-choose-h.  The exhaustive attack decides every subset in that
-space, walking them or counting two lists of logs; the meet-in-the-middle
-attack trades memory for time by splitting the index set and matching
-half-products, and also runs against the hardened scheme's reduced C1''
-component, where it is the birthday search that dictates how large n must be.
+space, walking them or counting two lists of logs; the divisor attack walks
+the u_i dividing the unreduced C2, as the receiver walks its secret terms;
+the meet-in-the-middle attack matches half-products, also on the hardened
+scheme's reduced C1'', the birthday search that dictates how large n must be.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .numtheory import (
     BitVector,
     binary_entropy,
     binomial,
+    divisor_subsets,
     entropy_bound,
+    least_products,
     mod_inv,
     power_index,
 )
@@ -87,6 +89,12 @@ def _weight_and_target(pk, ct) -> tuple[int, int, bool]:
     return recover_hamming_weight(pk, c1), target, scheme.reduced
 
 
+def _report(start: float, n: int, h: int, candidates, examined: int) -> AttackReport:
+    """The report of a search begun at start; candidates come in canonical order."""
+    candidates = tuple(candidates)
+    return AttackReport(h, candidates, examined, entropy_bound(n, h), time.perf_counter() - start)
+
+
 def exhaustive_subset_attack(pk, ct) -> AttackReport:
     """Decide every weight-h index subset, and return every product match.
 
@@ -125,13 +133,22 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
         found, examined = _count_below(u, bit, h, target)
     else:
         found, examined = _walk_below(u, bit, h, target)
-    return AttackReport(
-        recovered_h=h,
-        candidates=tuple(BitVector.from_int(mask, n) for mask in sorted(found)),
-        subsets_examined=examined,
-        predicted_bound=entropy_bound(n, h),
-        elapsed=time.perf_counter() - start,
-    )
+    return _report(start, n, h, (BitVector.from_int(mask, n) for mask in sorted(found)), examined)
+
+
+def divisor_subset_attack(pk, ct) -> AttackReport:
+    """The exhaustive attack's candidates, by decrypt_all's divisor walk over the u_i.
+
+    The original C2 is an exact product of the selected u_i, so each
+    divides it.  subsets_examined counts the walk's nodes.  A target
+    reduced mod p is refused: there every u_i divides it.
+    """
+    start = time.perf_counter()
+    if scheme_of(pk).reduced:
+        raise ParameterError("divisibility means nothing mod p: the divisor walk needs C2")
+    h, target, _ = _weight_and_target(pk, ct)
+    found, nodes = divisor_subsets(pk.u, target, h)
+    return _report(start, pk.n, h, sorted(BitVector.from_indices(pk.n, c) for c in found), nodes)
 
 
 def _list_entries(n: int, split: int, h: int) -> int:
@@ -225,10 +242,7 @@ def _walk_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
             quotient, remainder = divmod(cap, u[i])
             walk(i + 1, left - 1, mask | bit[i], quotient, exact and not remainder)
 
-    # least[k][i] = u_i * ... * u_(i+k-1), the smallest product of k factors from i on
-    least = [[], u]
-    for k in range(2, h + 1):
-        least.append([a * b for a, b in zip(u, least[-1][1:])])
+    least = least_products(u, h)
     if h >= 4:
         # rows[i] = u_i * u_j for j > i, ascending, cut at the largest cap a two-left node sees
         bound = target // least[h - 2][0]
@@ -432,13 +446,7 @@ def mitm_subset_attack(pk, ct, split: int | None = None) -> AttackReport:
                 product = prod(map(u.__getitem__, chosen))
                 if (product % pk.p if reduced else product) == target:
                     found.append(BitVector.from_indices(n, chosen))
-    return AttackReport(
-        recovered_h=h,
-        candidates=tuple(sorted(found)),
-        subsets_examined=entries,
-        predicted_bound=entropy_bound(n, h),
-        elapsed=time.perf_counter() - start,
-    )
+    return _report(start, n, h, sorted(found), entries)
 
 
 def attack_complexity_profile(n: int, h: int) -> ComplexityProfile:

@@ -29,6 +29,7 @@ ROUTED_FLAGS = ("n", "modulus_bits", "prime_bits", "max_step", "allow_overflow",
 STRATEGIES = {
     "exhaustive": attacks.exhaustive_subset_attack,
     "mitm": attacks.mitm_subset_attack,
+    "divisor": attacks.divisor_subset_attack,
 }
 ADVERSARIES = {
     "distinguisher": games.distinguisher_adversary,

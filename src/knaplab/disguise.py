@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MalformedCiphertext, ParameterError
-from .numtheory import SafePrimeGroup, mod_inv
+from .numtheory import SafePrimeGroup, gcd, mod_inv
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class DisguisedSecretKey:
     # Derived once at construction; left out of equality, repr and the key file.
     s_value: int = field(init=False, repr=False, compare=False)  # g^k, every public s_i
     mask: int = field(init=False, repr=False, compare=False)  # y^k, which masks every u_i
+    # mask^(-1) mod p, None when it does not exist (only a composite p allows that)
+    mask_inverse: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.x <= self.p - 2 or not 1 <= self.k <= self.p - 2:
@@ -60,6 +62,8 @@ class DisguisedSecretKey:
             raise ParameterError("y is not g^x mod p")
         object.__setattr__(self, "s_value", pow(self.g, self.k, self.p))
         object.__setattr__(self, "mask", pow(self.y, self.k, self.p))
+        inverse = mod_inv(self.mask, self.p) if gcd(self.mask, self.p) == 1 else None
+        object.__setattr__(self, "mask_inverse", inverse)
 
     def unmask(self, c1: int, c: int) -> int:
         """C * (C1^x)^(-1) mod p: the masked subset product behind (C1, C)."""
@@ -69,9 +73,12 @@ class DisguisedSecretKey:
         """C * (mask^h)^(-1) mod p, which is unmask(s^h, C) without raising to x.
 
         (g^k)^(xh) = (g^x)^(kh) holds modulo any p, so this equals unmask
-        whenever C1 = s^h, and fails the same way.
+        whenever C1 = s^h, and fails the same way.  With the mask's inverse
+        cached it is one pow, since (mask^h)^(-1) = (mask^(-1))^h.
         """
-        return self._strip(pow(self.mask, h, self.p), c)
+        if self.mask_inverse is None:
+            return self._strip(pow(self.mask, h, self.p), c)
+        return c * pow(self.mask_inverse, h, self.p) % self.p
 
     def _strip(self, factor: int, c: int) -> int:
         if factor == 0:

@@ -3,9 +3,10 @@
 Everything here is arbitrary precision and side-effect free; randomized
 operations take an explicit ``random.Random`` so callers control seeding,
 and every prime is certified by ``is_prime``, which draws nothing.
-The two knapsack solvers (greedy subset sum over a super-increasing
-sequence, divisibility-based subset product over pairwise-coprime factors)
-are the workhorses the schemes and attacks are built on.
+The subset solvers, as used: the divisor walk decodes the original cipher
+for its receiver and attacks it from the public key, the divisibility test
+over pairwise-coprime primes decodes the hardened cipher, and the greedy
+super-increasing subset sum is reached only by tests.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd, prod
+
+from .errors import ParameterError
 
 __all__ = [
     "BitVector",
@@ -33,6 +36,8 @@ __all__ = [
     "gen_superincreasing",
     "solve_superincreasing_subset_sum",
     "solve_coprime_subset_product",
+    "least_products",
+    "divisor_subsets",
     "binomial",
     "binary_entropy",
     "entropy_bound",
@@ -52,6 +57,7 @@ def _sieve(limit: int) -> list[int]:
 _TRIAL_PRIMES = frozenset(_sieve(1000))
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)  # n has a factor below 1000 iff gcd(n, this) != 1
 _TRIAL_LIMIT = 1000 * 1000  # below this, trial division is exact
+MAX_WALK_NODES = 1 << 22  # divisor walk cap: index subsets entered, so never hit at n <= 22
 
 
 @dataclass(frozen=True, order=True)
@@ -518,6 +524,63 @@ def solve_coprime_subset_product(seq: PrimeSequence, d: int) -> tuple[BitVector,
     bits = tuple(1 if d % pi == 0 else 0 for pi in seq.primes)
     exact = prod(pi for pi, b in zip(seq.primes, bits) if b) == d
     return BitVector(bits), exact
+
+
+def least_products(terms, h: int) -> list:
+    """least[k][j] = terms[j] * ... * terms[j+k-1], for k <= h.
+
+    Over ascending terms that is the least product of k terms from j on.
+    """
+    least = [[], terms]
+    for k in range(2, h + 1):
+        least.append([a * b for a, b in zip(terms, least[-1][1:])])
+    return least
+
+
+def divisor_subsets(terms, target: int, h: int) -> tuple[list[tuple[int, ...]], int]:
+    """(every weight-h index subset of the positive terms with product target, nodes).
+
+    Only terms dividing target can be in a match.  The walk takes them in
+    ascending order, carries the exact quotient target / P, drops a branch
+    on a nonzero remainder, and ends a loop at the first term whose
+    smallest completion exceeds the quotient.  The last term is the
+    quotient, looked up by value; equal terms each give a match.  nodes
+    counts the prefixes entered, distinct index subsets, so at most
+    2^len(terms); past MAX_WALK_NODES the walk refuses with ParameterError.
+    """
+    index = sorted((i for i, t in enumerate(terms) if not target % t), key=terms.__getitem__)
+    kept = [terms[i] for i in index]
+    least = least_products(kept, h)
+    at: dict[int, list[int]] = {}  # each kept value's positions in kept
+    for j, t in enumerate(kept):
+        at.setdefault(t, []).append(j)
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def walk(first: int, left: int, chosen: tuple[int, ...], quotient: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_WALK_NODES:
+            raise ParameterError(f"the divisor walk passed its cap of {MAX_WALK_NODES} nodes")
+        if left == 1:  # the last term is the quotient itself
+            for j in at.get(quotient, ()):
+                if j >= first:
+                    found.append((*chosen, index[j]))
+            return
+        if not left:  # weight 0: the empty subset, whose product is 1
+            if quotient == 1:
+                found.append(chosen)
+            return
+        smallest = least[left]
+        for j in range(first, len(kept) - left + 1):
+            if smallest[j] > quotient:
+                break  # terms ascend, so every later branch overshoots too
+            rest, remainder = divmod(quotient, kept[j])
+            if not remainder:
+                walk(j + 1, left - 1, (*chosen, index[j]), rest)
+
+    walk(0, h, (), target)
+    return found, nodes
 
 
 def binomial(n: int, h: int) -> int:

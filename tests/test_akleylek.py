@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knaplab import akleylek, disguise, modified
+from knaplab import akleylek, disguise, modified, numtheory
 from knaplab.errors import MalformedCiphertext, ParameterError
 from knaplab.games import suggested_modulus_bits
 from knaplab.numtheory import (
@@ -216,6 +216,11 @@ def test_decrypt_all_outputs_are_pinned_on_seeded_keys():
     assert digest.hexdigest() == (
         "eaec773634e97f6e729715c8ff6170e73f1df70f623d5e22c837414a8e0cb10b"
     )
+
+
+def test_decrypt_all_at_its_default_limit_stays_below_the_walk_cap():
+    # each walk node is a distinct index subset, so n terms give at most 2^n nodes
+    assert 2**akleylek.DEFAULT_EXHAUSTIVE_LIMIT < numtheory.MAX_WALK_NODES
 
 
 @cache

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knaplab import akleylek, attacks, cli, games, keyfile, modified
+from knaplab import akleylek, attacks, cli, games, keyfile, modified, numtheory
 from knaplab.errors import MalformedCiphertext, ParameterError
 from knaplab.numtheory import (
     BitVector,
@@ -65,7 +65,8 @@ def test_recover_hamming_weight_rejects_weight_zero(toy_keypair):
 
 
 @pytest.mark.parametrize(
-    "attack", [attacks.exhaustive_subset_attack, attacks.mitm_subset_attack]
+    "attack",
+    [attacks.exhaustive_subset_attack, attacks.mitm_subset_attack, attacks.divisor_subset_attack],
 )
 @pytest.mark.parametrize("key_scheme", ["original", "modified"])
 def test_attacks_refuse_a_ciphertext_of_the_other_scheme(attack, key_scheme, toy_keypair):
@@ -338,6 +339,8 @@ def test_every_search_agrees_with_a_combinations_reference():
             assert exh.subsets_examined == within
         for split in range(1, n):
             assert attacks.mitm_subset_attack(pk, ct, split).candidates == expected
+        if not reduced:
+            assert attacks.divisor_subset_attack(pk, ct).candidates == expected
         if sk is not None:
             d = akleylek.decrypt_d(sk, ct)
             assert akleylek.decrypt_all(sk, ct) == reference_candidates(sk.a.terms, h, d)
@@ -537,6 +540,23 @@ def test_every_search_agrees_with_the_reference_on_targets_built_to_miss(data):
         assert within == binomial(n, h)
     for split in range(1, n):
         assert attacks.mitm_subset_attack(pk, ct, split).candidates == expected
+    assert attacks.divisor_subset_attack(pk, ct).candidates == expected
+
+
+def test_divisor_attack_refuses_past_its_node_cap_on_a_smooth_key(monkeypatch):
+    # u = 1, 2, 4, ...: every u_i divides a power of two, so no remainder prunes the walk
+    n, h = 14, 7
+    u = tuple(1 << j for j in range(n))
+    pk = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=u)
+    ct = akleylek.AkleylekCiphertext(3**h, prod(u[3 : 3 + h]))
+    report = attacks.divisor_subset_attack(pk, ct)
+    assert report.candidates == reference_candidates(u, h, ct.c2)
+    assert len(report.candidates) > 100 and report.subsets_examined > 500
+    monkeypatch.setattr(numtheory, "MAX_WALK_NODES", report.subsets_examined)
+    assert attacks.divisor_subset_attack(pk, ct).candidates == report.candidates
+    monkeypatch.setattr(numtheory, "MAX_WALK_NODES", report.subsets_examined - 1)
+    with pytest.raises(ParameterError, match="cap"):
+        attacks.divisor_subset_attack(pk, ct)
 
 
 def test_mitm_confirms_every_filter_hit_by_its_integer_product():

@@ -446,7 +446,7 @@ def test_cli_round_trip_past_the_int_str_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == message
 
 
-@pytest.mark.parametrize("strategy", ["exhaustive", "mitm"])
+@pytest.mark.parametrize("strategy", ["exhaustive", "mitm", "divisor"])
 def test_cli_attack_refuses_an_original_key_with_s_one(strategy, tmp_path, capsys):
     # an original key file is not certified, so s = 1 parses; C1 = 1^h then hides h
     pub = akleylek.AkleylekPublicKey(n=5, p=2579, s=(1,) * 5, u=(2165, 1958, 1337, 95, 190))
@@ -717,6 +717,10 @@ REFUSED_INPUTS = {
          "OUT"],
         "need n >= 2",
     ),
+    "divisor-reduced-target": (
+        ["attack", "--key", "MODIFIED_PUB", "--ciphertext", "1 2 3", "--strategy", "divisor"],
+        "divisibility means nothing mod p",
+    ),
     "mitm-one-position-key": (
         ["attack", "--key", "ONE_POSITION_PUB", "--ciphertext", "104 2165", "--strategy", "mitm"],
         "needs two positions",
@@ -747,6 +751,7 @@ def refusal_files(toy_pub_text, toy_params_text):
     """The text of each key file REFUSED_INPUTS names, by placeholder."""
     return {
         "TOY_BAD_S": toy_pub_text.replace("s=68,68,68,68,68", "s=68,68,68,68,69"),
+        "MODIFIED_PUB": tiny_modified_key_texts(23, 5)[0],
         "MODIFIED_SEC": tiny_modified_key_texts(23, 5)[1],
         "NO_EQUALS": toy_pub_text.replace("p=a13", "p a13"),
         "OVERSIZED_N_PUB": OVERSIZED_N_PUBLIC_KEY,
@@ -841,7 +846,7 @@ def test_cli_keygen_refuses_an_overflowing_modulus_without_the_flag(tmp_path, ca
     assert not pub.exists() and not sec.exists()
 
 
-@pytest.mark.parametrize("strategy", ["exhaustive", "mitm"])
+@pytest.mark.parametrize("strategy", ["exhaustive", "mitm", "divisor"])
 def test_cli_bench_rows_come_from_the_original_game_scheme(strategy, capsys):
     n, weights, seed = 10, (1, 4, 7), 9
     argv = ["bench", "-n", str(n), "--h-values", "1,4,7", "--strategy", strategy]
