@@ -267,18 +267,15 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _half(x: int, n: int) -> int:
-    """x/2 modulo the odd n."""
-    return (x + n if x % 2 else x) // 2 % n
-
-
 def _is_strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test on odd n > 2 with Selfridge's method A parameters.
 
     D is the first of 5, -7, 9, -11, ... with Jacobi (D/n) = -1, P = 1 and
     Q = (1 - D)/4; with n + 1 = d*2^s, n passes iff U_d = 0 or V_(d*2^r) = 0
     for some 0 <= r < s (mod n).  A perfect square has no such D, so it is
-    rejected before the search.
+    rejected before the search.  The ladder carries (V_k, V_(k+1), Q^k) over
+    the bits of d, and U_d = 0 is tested as 2*V_(d+1) = V_d: D*U_k =
+    2*V_(k+1) - V_k, and (D/n) = -1 makes D invertible mod n.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -288,16 +285,14 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
             return False  # D shares a factor with n
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1 with P = 1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = _half(U + V, n), _half(D * U + V, n), Qk * Q % n
-    if U == 0 or V == 0:
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s with d odd
+    V, W, Qk = 2, 1, 1  # V_0, V_1 and Q^0 with P = 1
+    for bit in bin((n + 1) >> s)[2:]:
+        if bit == "1":  # k -> 2k + 1
+            V, W, Qk = (V * W - Qk) % n, (W * W - 2 * Q * Qk) % n, Qk * Qk * Q % n
+        else:  # k -> 2k
+            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
+    if (2 * W - V) % n == 0 or V == 0:
         return True
     for _ in range(s - 1):
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
@@ -346,43 +341,45 @@ def _find_generator(p: int, q: int, rng: random.Random) -> int:
 
 _WINDOW = 4096
 _ZEROS = memoryview(bytes(_WINDOW))
-_DEEP_BITS = 16  # the q line alone is also sieved by the primes in (2^13, 2^16)
+_SLICE_BITS = 13  # sieve primes below 2^13 always strike, by slices
+_DEEP_BITS = 16  # the deeper ones, up to 2^16, strike by position once q > 2^16
 
 
 @cache
-def _sieve_primes() -> tuple[tuple[int, int, int], ...]:
-    """(sp, 1/6, -1/12) mod sp for the primes 5 <= sp < 2^13, built on first use.
+def _sieve_table() -> tuple[array, array, array, int]:
+    """Columns sp, 1/6 and -1/12 mod sp over the primes 5 <= sp < 2^16; how many are < 2^13.
 
-    2 and 3 are skipped: the q = 5 (mod 6) wheel already excludes their
-    multiples.  A window step of -1/12 moves q by -1/2, from a q-line hit
-    (q = 0) to a 2q+1-line hit (q = -1/2).
+    Built on first use.  2 and 3 are skipped: the q = 5 (mod 6) wheel already
+    excludes their multiples.  A window step of -1/12 moves q by -1/2, from a
+    q-line hit (q = 0) to a 2q+1-line hit (q = -1/2).
     """
-    return tuple((sp, pow(6, -1, sp), -pow(12, -1, sp) % sp) for sp in _sieve(1 << 13)[2:])
-
-
-@cache
-def _deep_sieve_primes() -> tuple[array, array]:
-    """The primes in (2^13, 2^16) and their inverses of 6, built on first use."""
-    primes = array("H", _sieve(1 << _DEEP_BITS)[len(_sieve_primes()) + 2 :])
-    return primes, array("H", (pow(6, -1, sp) for sp in primes))
+    primes = array("H", _sieve(1 << _DEEP_BITS)[2:])
+    inv6 = array("H", (pow(6, -1, sp) for sp in primes))
+    step = array("H", (-pow(12, -1, sp) % sp for sp in primes))
+    return primes, inv6, step, len(_sieve(1 << _SLICE_BITS)) - 2
 
 
 def _window_survivors(base: int, deep: bool) -> list[int]:
     """The q = base + 6j, 0 <= j < _WINDOW, that no sieve prime strikes.
 
-    Every prime below 2^13 other than 2 and 3 strikes the q and the 2q+1
-    lines; with ``deep``, the primes in (2^13, 2^16) strike the q line too.
-    Each deep prime exceeds the window, so it strikes at most one q.
+    A sieve prime strikes every q on the q line (sp divides q) and on the
+    2q+1 line (sp divides 2q + 1).  The primes below 2^13 always strike;
+    with ``deep``, so do the primes in (2^13, 2^16).  Each of those exceeds
+    the window, so it strikes at most one q on each line.
     """
+    primes, inv6, step, shallow = _sieve_table()
+    rows = zip(primes, inv6, step)
     alive = bytearray(b"\x01") * _WINDOW
-    for sp, inv6, step in _sieve_primes():
-        j = -(base % sp) * inv6 % sp  # q-line hits
+    for sp, inv, st in itertools.islice(rows, shallow):
+        j = -(base % sp) * inv % sp  # q-line hits
         alive[j::sp] = _ZEROS[: (_WINDOW - 1 - j) // sp + 1]
-        j = (j + step) % sp  # 2q+1-line hits
+        j = (j + st) % sp  # 2q+1-line hits
         alive[j::sp] = _ZEROS[: (_WINDOW - 1 - j) // sp + 1]
     if deep:
-        for sp, inv6 in zip(*_deep_sieve_primes()):
-            if (j := -(base % sp) * inv6 % sp) < _WINDOW:
+        for sp, inv, st in rows:  # the rest of the table, from the first prime above 2^13
+            if (j := -(base % sp) * inv % sp) < _WINDOW:
+                alive[j] = 0
+            if (j := (j + st) % sp) < _WINDOW:
                 alive[j] = 0
     return [base + 6 * j for j in itertools.compress(range(_WINDOW), alive)]
 
@@ -390,18 +387,11 @@ def _window_survivors(base: int, deep: bool) -> list[int]:
 def _screened_group(q: int, rng: random.Random) -> SafePrimeGroup | None:
     """The group on p = 2q + 1, or None if its screen or certification fails.
 
-    The screen is two Miller-Rabin rounds on each of q and p: base 2, then a
-    base drawn from rng (none below 10^6, where ``is_probable_prime`` is exact).
+    The screen is the base-2 round on q, then on p, which draws nothing;
+    a survivor draws its generator and SafePrimeGroup certifies it.
     """
     p = 2 * q + 1
-    if not is_probable_prime(q, 1):
-        return None
-    # q's base is drawn before p's base-2 round, so the draws keep their order,
-    # but tried after it, so a p that fails costs no second round on q
-    a = rng.randrange(2, q - 1) if q >= _TRIAL_LIMIT else None
-    if not is_probable_prime(p, 1) or a and not _strong_round(q, a):
-        return None
-    if p >= _TRIAL_LIMIT and not _strong_round(p, rng.randrange(2, p - 1)):
+    if not (is_probable_prime(q, 1) and is_probable_prime(p, 1)):
         return None
     try:
         return SafePrimeGroup(p, _find_generator(p, q, rng))
@@ -416,13 +406,14 @@ def gen_safe_prime(bit_length: int, rng: random.Random) -> SafePrimeGroup:
     safe prime above 7) and a window of them is sieved jointly on the q and
     2q+1 lines before Miller-Rabin, which keeps generation fast enough to do
     per-trial key generation in the experiment harnesses.  Once every q
-    exceeds 2^16, the q line alone is sieved deeper, by the primes up to 2^16
+    exceeds 2^16, both lines are sieved deeper, by the primes up to 2^16
     (Wiener, "Safe prime generation with a combined sieve", ePrint 2003/186).
-    A q that only the deep primes strike is composite and would fail its
-    base-2 round, which draws nothing, so the deep sieve changes no key.
-    The search phase screens with 2 Miller-Rabin rounds; the returned group
-    is always certified by the SafePrimeGroup constructor (``is_prime`` on q,
-    a Pocklington proof of p; see ``is_safe_prime``).
+    The search draws from rng only each window's base (for p of at most 16
+    bits, each candidate) and the generator, so the sieve changes how fast
+    a group is found, never which.  Each sieve survivor is screened by the
+    base-2 round on q and p, and only the SafePrimeGroup constructor
+    certifies (``is_prime`` on q, a Pocklington proof of p; see
+    ``is_safe_prime``).
     """
     if bit_length < 4:
         raise ValueError("bit_length must be >= 4")

@@ -214,7 +214,7 @@ def test_decrypt_all_outputs_are_pinned_on_seeded_keys():
             for ct in cts:
                 digest.update(repr([str(c) for c in akleylek.decrypt_all(sec, ct)]).encode())
     assert digest.hexdigest() == (
-        "eaec773634e97f6e729715c8ff6170e73f1df70f623d5e22c837414a8e0cb10b"
+        "9a4b2c90ba88d3ee89f7041e69a85d1b6c718f4b87608b64224d51715c8ed3ae"
     )
 
 

@@ -401,7 +401,7 @@ def test_exhaustive_attack_report_is_pinned_on_seeded_keys():
                 pair = ([str(c) for c in report.candidates], report.subsets_examined)
                 digest.update(repr(pair).encode())
     assert digest.hexdigest() == (
-        "8dcb81ae679a035c71c7ab44cda733c98720acc8b212035fc352d99abe9048f2"
+        "a2914790d578c42b2e3dde827cc58e1e87569bd8c9b0e45cfa6028a9ce03f68f"
     )
 
 
@@ -424,7 +424,7 @@ def test_exhaustive_count_report_is_pinned_on_seeded_keys():
                 pair = ([str(c) for c in report.candidates], report.subsets_examined)
                 digest.update(repr(pair).encode())
     assert digest.hexdigest() == (
-        "6a4026299a9d8e77d6f659a63acb2300e3d3ddb763610aa57d9129a3b0e6af71"
+        "161d4f4ed9e2e78f51fd647000bca5e2430dba404621b693bcc36f1c80928bc4"
     )
 
 

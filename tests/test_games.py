@@ -313,7 +313,7 @@ def test_forgery_games_seeded_output_is_pinned():
         digest.update(repr(res).encode())
     assert truncated == 3
     assert digest.hexdigest() == (
-        "c0d4790b1fcd55049b20a50a1b37c1d3a65833aafaa05ee06d45ea8ea840864e"
+        "25b6d3f2251bcf40575c7bf7961a124dc085f2ca1ed0a9951bebe5dd08d6c357"
     )
 
 

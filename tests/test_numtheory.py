@@ -307,9 +307,8 @@ def test_gen_safe_prime_returns_a_certified_group_of_every_small_size(bits):
         assert is_safe_prime(group.p)
 
 
-def test_the_deep_sieve_strikes_only_q_that_fail_their_base_2_round():
-    # a q struck only by a prime in (2^13, 2^16) would have failed the base-2
-    # round of the screen, which draws nothing, so dropping it keeps every key
+def test_the_deep_sieve_strikes_q_where_either_line_has_a_deep_factor():
+    # every sieve prime strikes both lines; the primes in (2^13, 2^16) only when deep
     primes = [n for n in range(5, 1 << 16) if trial_division_is_prime(n)]
     shallow = math.prod(sp for sp in primes if sp < 1 << 13)
     deep = math.prod(sp for sp in primes if sp > 1 << 13)
@@ -320,15 +319,24 @@ def test_the_deep_sieve_strikes_only_q_that_fail_their_base_2_round():
         base += (5 - base) % 6
         candidates = range(base, base + 6 * _WINDOW, 6)
         survivors = [q for q in candidates if gcd(q * (2 * q + 1), shallow) == 1]
-        deep_struck = [q for q in survivors if gcd(q, deep) != 1]
+        deep_struck = {q for q in survivors if gcd(q * (2 * q + 1), deep) != 1}
         assert _window_survivors(base, deep=False) == survivors
         assert _window_survivors(base, deep=True) == [
             q for q in survivors if q not in deep_struck
         ]
-        for q in deep_struck:
-            assert not is_probable_prime(q, 1) and not is_prime(q), q
         struck += len(deep_struck)
     assert struck > 100  # the property is not vacuous
+
+
+@pytest.mark.parametrize("bits", [40, 64, 96, 128])
+def test_the_sieve_only_saves_time(bits, monkeypatch):
+    # the search draws nothing per candidate, so an unsieved window finds the same group
+    sieved = [gen_safe_prime(bits, random.Random(seed)) for seed in range(6)]
+    monkeypatch.setattr(
+        "knaplab.numtheory._window_survivors",
+        lambda base, deep: list(range(base, base + 6 * _WINDOW, 6)),
+    )
+    assert [gen_safe_prime(bits, random.Random(seed)) for seed in range(6)] == sieved
 
 
 def test_gen_safe_prime_rejects_tiny_bit_length():
