@@ -2,11 +2,12 @@
 
 The constant first component of every public pair leaks the Hamming weight
 of whatever was encrypted (C1 is just s^h), which collapses the search space
-from 2^n to n-choose-h.  The exhaustive attack decides every subset in that
-space, walking them or counting two lists of logs; the divisor attack walks
-the u_i dividing the unreduced C2, as the receiver walks its secret terms;
-the meet-in-the-middle attack matches half-products, also on the hardened
-scheme's reduced C1'', the birthday search that dictates how large n must be.
+from 2^n to n-choose-h.  The divisor attack walks the u_i dividing the
+unreduced C2, as the receiver walks its secret terms; the exhaustive attack
+takes its matches from that walk and counts the subsets it decides, the
+paper's cost, by a pruned walk or two lists of logs; the meet-in-the-middle
+attack matches half-products, also on the hardened scheme's reduced C1'',
+the birthday search that dictates how large n must be.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _report(start: float, n: int, h: int, candidates, examined: int) -> AttackRe
 
 
 def exhaustive_subset_attack(pk, ct) -> AttackReport:
-    """Decide every weight-h index subset, and return every product match.
+    """Count the weight-h index subsets the search decides, and return every match.
 
     Candidates are complete: every subset reproducing the target component
     is returned, since ambiguous decryptions are part of what the lab
@@ -106,34 +107,34 @@ def exhaustive_subset_attack(pk, ct) -> AttackReport:
     ``elapsed`` is the cost of this implementation.
 
     A target reduced mod p admits no bound on partial products, so that
-    walk builds every product mod p and examines all n-choose-h subsets.
+    walk builds every product mod p, examines all n-choose-h subsets and
+    keeps the matches.
 
-    An unreduced target T is an exact integer product, and a subset counts
-    as examined iff its product is at most T.  With the u_i in ascending
-    order, two regimes count that same set of subsets.  The walk
-    (_walk_below) visits prefixes and cuts each loop at the first index
-    whose smallest completion exceeds the quotient cap.  The count
-    (_count_below) visits no prefix: it matches two lists of log products
-    and decides only the pairs near T on integers.  The count runs iff
-    h >= 4, its full lists hold L = sum over w <= h of C(n // 2, w) +
-    C(n - n // 2, w) <= MAX_LIST_ENTRIES entries, and 4 * L < C(n, h - 1),
-    constants set from measured crossovers, which the README lists.  At
-    n = 20 that is h >= 6.  The rule keeps the walk at h <= 3 and at
-    n = 64, h = 4, where building the lists costs more than the walk.
+    An unreduced target T is an exact integer product, so its matches are
+    the divisor attack's: divisor_subsets over the u_i, which inherits that
+    walk's MAX_WALK_NODES refusal.  A subset counts as examined iff its
+    product is at most T, and over the u_i in ascending order two regimes
+    only count that set.  The walk (_walk_below) visits prefixes and cuts
+    each loop at the first index whose smallest completion exceeds the
+    quotient cap.  The count (_count_below) visits no prefix: it matches
+    two lists of log products and decides only the pairs near T on
+    integers.  The count runs iff h >= 4, its full lists hold L = sum over
+    w <= h of C(n // 2, w) + C(n - n // 2, w) <= MAX_LIST_ENTRIES entries,
+    and 4 * L < C(n, h - 1), constants set from measured crossovers, which
+    the README lists.  At n = 20 that is h >= 6.  The rule keeps the walk
+    at h <= 3 and at n = 64, h = 4, where building the lists costs more
+    than the walk.
     """
     start = time.perf_counter()
     h, target, reduced = _weight_and_target(pk, ct)
     n = pk.n
-    order = sorted(range(n), key=pk.u.__getitem__)
-    u = [pk.u[j] for j in order]
-    bit = [1 << (n - 1 - j) for j in order]  # masks are BitVector.from_int values
     if reduced:
-        found, examined = _walk_reduced(u, bit, h, target, pk.p)
-    elif _count_pays(n, h):
-        found, examined = _count_below(u, bit, h, target)
-    else:
-        found, examined = _walk_below(u, bit, h, target)
-    return _report(start, n, h, (BitVector.from_int(mask, n) for mask in sorted(found)), examined)
+        bit = [1 << (n - 1 - j) for j in range(n)]  # masks are BitVector.from_int values
+        found, examined = _walk_reduced(pk.u, bit, h, target, pk.p)
+        return _report(start, n, h, (BitVector.from_int(m, n) for m in sorted(found)), examined)
+    u = sorted(pk.u)
+    examined = (_count_below if _count_pays(n, h) else _walk_below)(u, h, target)
+    return _report(start, n, h, _divisor_candidates(pk, target, h)[0], examined)
 
 
 def divisor_subset_attack(pk, ct) -> AttackReport:
@@ -147,8 +148,13 @@ def divisor_subset_attack(pk, ct) -> AttackReport:
     if scheme_of(pk).reduced:
         raise ParameterError("divisibility means nothing mod p: the divisor walk needs C2")
     h, target, _ = _weight_and_target(pk, ct)
+    return _report(start, pk.n, h, *_divisor_candidates(pk, target, h))
+
+
+def _divisor_candidates(pk, target: int, h: int) -> tuple[list[BitVector], int]:
+    """(the weight-h subsets of the u_i with product target, in canonical order, walk nodes)."""
     found, nodes = divisor_subsets(pk.u, target, h)
-    return _report(start, pk.n, h, sorted(BitVector.from_indices(pk.n, c) for c in found), nodes)
+    return sorted(BitVector.from_indices(pk.n, c) for c in found), nodes
 
 
 def _list_entries(n: int, split: int, h: int) -> int:
@@ -183,64 +189,40 @@ def _walk_reduced(u, bit, h: int, target: int, p: int) -> tuple[list[int], int]:
     return found, examined
 
 
-def _walk_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
-    """(masks of the weight-h matches, subsets with product <= target), by a pruned walk.
+def _walk_below(u, h: int, target: int) -> int:
+    """The weight-h subsets with product <= target, counted by a pruned walk.
 
     u is ascending.  In place of the partial product P the walk carries
-    cap = target // P and whether P divides target; a child takes
-    divmod(cap, u_i), since floor(floor(T/a)/b) equals floor(T/(ab)).  A
-    last factor u_i is examined iff u_i <= cap, that is iff the full
-    product is at most the target, and it matches iff P divides the target
-    and u_i == cap.  A loop that still has to pick k factors ends at the
-    first i where u_i * ... * u_(i+k-1), the smallest completion, exceeds
-    cap: no subset below it or to its right can be examined.
+    cap = target // P; a child takes cap // u_i, since floor(floor(T/a)/b)
+    equals floor(T/(ab)).  A last factor u_i is examined iff u_i <= cap,
+    that is iff the full product is at most the target, so one bisection
+    counts them.  A loop that still has to pick k factors ends at the first
+    i where u_i * ... * u_(i+k-1), the smallest completion, exceeds cap: no
+    subset below it or to its right can be examined.
 
-    Up to h = 3 each examined subset is visited.  From h = 4 on, the node
-    with two factors left decides its subsets without visiting them: it
-    bisects rows[i], the products u_i * u_j for j > i built once per call
-    (ascending, as u is), for cap.  The entries <= cap are exactly the
-    subsets examined under that i, since P * u_i * u_j <= T iff
-    u_i * u_j <= cap, and when P divides T the entries equal to cap are
-    every match, ties included.  Each row is cut at T // (u_0 * ... *
-    u_(h-3)), the largest cap a two-left node can see.  A row entry costs
-    one multiplication, about half the divmod it replaces, so rows pay
-    only when many prefixes reuse them: the C(n, h-2) prefixes outnumber
-    the C(n, 2) row entries iff h >= 4.
+    From h = 4 on, the node with two factors left counts its subsets by
+    bisecting rows[i], the products u_i * u_j for j > i built once per call
+    (ascending, as u is), for cap: P * u_i * u_j <= T iff u_i * u_j <= cap.
+    Each row is cut at T // (u_0 * ... * u_(h-3)), the largest cap a
+    two-left node can see.  A row entry costs one multiplication, against
+    a prefix's one division, so rows pay only when many prefixes reuse
+    them: the C(n, h-2) prefixes outnumber the C(n, 2) row entries iff
+    h >= 4.
     """
     n = len(u)
-    found: list[int] = []
-    examined = 0
     rows: list[list[int]] = []  # filled only for h >= 4
 
-    def walk(first: int, left: int, mask: int, cap: int, exact: bool):
-        nonlocal examined
-        if left == 1:  # the last factor: each step decides one full subset
-            for i in range(first, n):
-                ui = u[i]
-                if ui > cap:
-                    break
-                examined += 1
-                if exact and ui == cap:
-                    found.append(mask | bit[i])
-            return
-        if left == 2 and rows:  # the last two factors: u_i * u_j <= cap, counted by bisection
-            for i in range(first, n - 1):
-                row = rows[i]
-                stop = bisect_right(row, cap)
-                if not stop:
-                    break
-                examined += stop
-                if exact and row[stop - 1] == cap:
-                    head = mask | bit[i]
-                    for j in range(bisect_left(row, cap, 0, stop), stop):
-                        found.append(head | bit[i + 1 + j])
-            return
-        smallest = least[left]
+    def walk(first: int, left: int, cap: int) -> int:
+        if left == 1:  # the last factor: every u_i <= cap from first on
+            return bisect_right(u, cap, first) - first
+        if left == 2 and rows:  # the last two factors: u_i * u_j <= cap, row by row
+            return sum(takewhile(bool, map(bisect_right, rows[first:], repeat(cap))))
+        smallest, examined = least[left], 0
         for i in range(first, n - left + 1):
             if smallest[i] > cap:
                 break
-            quotient, remainder = divmod(cap, u[i])
-            walk(i + 1, left - 1, mask | bit[i], quotient, exact and not remainder)
+            examined += walk(i + 1, left - 1, cap // u[i])
+        return examined
 
     least = least_products(u, h)
     if h >= 4:
@@ -249,12 +231,11 @@ def _walk_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
         rows = [
             list(takewhile(bound.__ge__, map(ui.__mul__, u[i + 1 :]))) for i, ui in enumerate(u)
         ]
-    walk(0, h, 0, target, True)
-    return found, examined
+    return walk(0, h, target)
 
 
-def _count_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
-    """(masks of the weight-h matches, subsets with product <= target), by two lists.
+def _count_below(u, h: int, target: int) -> int:
+    """The weight-h subsets with product <= target, counted by two lists.
 
     u is ascending and split at n // 2, in the two-list manner of Horowitz
     and Sahni (J. ACM 1974) and Schroeppel and Shamir (SIAM J. Comput.
@@ -265,8 +246,8 @@ def _count_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
     The kept positions are sorted by log, and a left log a counts the right
     logs below log2 T - a - eps by bisection: those pairs are below T for
     sure, and those above log2 T - a + eps above it.  The pairs in between
-    are unranked and decided on exact integers; every match and every tie
-    lands there, so the count and the candidates are exact.
+    are unranked and decided on exact integers; every tie lands there, so
+    the count is exact.
 
     eps bounds the float error with room to spare.  math.log2 of an int
     errs by at most 2^-51 * max(1, its log2), and each float addition or
@@ -278,13 +259,13 @@ def _count_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
     """
     n = len(u)
     if prod(u[:h]) > target:  # the h smallest exceed it: nothing is examined
-        return [], 0
+        return 0
     log_t = log2(target)
     eps = (2 * n + 8) * 2.0**-50 * max(1.0, log_t)
     below, above = log_t - eps, log_t + eps
     split, logs = n // 2, list(map(log2, u))
     left, right = (_colex_lists(x, h, array("d", [0]), _add) for x in (logs[:split], logs[split:]))
-    found: list[int] = []
+    high = u[split:]
     examined = 0
     for w in range(max(0, h + split - n), min(h, split) + 1):  # both lists nonempty
         have, want = left[w], right[h - w]
@@ -295,16 +276,11 @@ def _count_below(u, bit, h: int, target: int) -> tuple[list[int], int]:
         near = list(map(bisect_right, repeat(ordered), map(above.__sub__, have)))
         examined += sum(sure)
         for i in compress(range(len(have)), map(int.__lt__, sure, near)):
-            head = _colex_subset(i, w, split)
-            partial = prod(map(u.__getitem__, head))
+            partial = prod(map(u.__getitem__, _colex_subset(i, w, split)))
             for j in range(sure[i], near[i]):
-                tail = [split + c for c in _colex_subset(order[j], h - w, n - split)]
-                full = partial * prod(map(u.__getitem__, tail))
-                if full <= target:
-                    examined += 1
-                    if full == target:
-                        found.append(sum(map(bit.__getitem__, head + tail)))
-    return found, examined
+                tail = _colex_subset(order[j], h - w, n - split)
+                examined += partial * prod(map(high.__getitem__, tail)) <= target
+    return examined
 
 
 def _add(factor, level):

@@ -443,7 +443,11 @@ def gen_prime_sequence(n: int, bits_each: int, rng: random.Random) -> PrimeSeque
     """n distinct primes of exactly ``bits_each`` bits.
 
     Refuses (rather than spinning forever) when fewer than n primes of that
-    size exist; the count is exact for sizes small enough to sieve.
+    size exist; the count is exact for sizes small enough to sieve.  Above
+    20 bits each drawn candidate is screened by the base-2 round alone and
+    the PrimeSequence certifies it, so each prime is certified once; should
+    a base-2 pseudoprime pass the screen, the search keeps the members that
+    pass ``is_prime`` and draws on.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -458,14 +462,18 @@ def gen_prime_sequence(n: int, bits_each: int, rng: random.Random) -> PrimeSeque
         return PrimeSequence(tuple(rng.sample(population, n)))
     picked: list[int] = []
     attempts = 0
-    while len(picked) < n:
-        attempts += 1
-        if attempts > 10000 * n:
-            raise ValueError(f"could not find {n} distinct {bits_each}-bit primes")
-        c = rng.randrange(1 << (bits_each - 1), 1 << bits_each) | 1
-        if c not in picked and is_prime(c):
-            picked.append(c)
-    return PrimeSequence(tuple(picked))
+    while True:
+        while len(picked) < n:
+            attempts += 1
+            if attempts > 10000 * n:
+                raise ValueError(f"could not find {n} distinct {bits_each}-bit primes")
+            c = rng.randrange(1 << (bits_each - 1), 1 << bits_each) | 1
+            if c not in picked and is_probable_prime(c, 1):
+                picked.append(c)
+        try:
+            return PrimeSequence(tuple(picked))
+        except ValueError:  # a base-2 pseudoprime passed the screen
+            picked = [c for c in picked if is_prime(c)]
 
 
 def gen_superincreasing(n: int, rng: random.Random, max_step: int = 10) -> SuperIncreasingSeq:

@@ -352,7 +352,8 @@ def test_exhaustive_row_step_agrees_with_the_reference(monkeypatch):
     The keys carry u_j = c * u_i and one repeated u, so equal pair products
     recur across rows and within a row.  Besides the encrypted subset, each
     weight gets a target whose row cut lies below u_0 * u_1, so every row is
-    empty, and one above the product of all u, so every row is whole.
+    empty, and one above the product of all u, so every row is whole.  A
+    row bisection takes two arguments; the last factor's also passes first.
     """
     bisections = []
     monkeypatch.setattr(
@@ -380,7 +381,8 @@ def test_exhaustive_row_step_agrees_with_the_reference(monkeypatch):
                 assert exh.subsets_examined == within
                 if target != encrypted:
                     assert within == (binomial(n, h) if target == whole else 0)
-                assert bool(bisections) == (h >= 4 and within > 0)
+                row_calls = [a for a in bisections if len(a) == 2]
+                assert bool(row_calls) == (h >= 4 and within > 0)
 
 
 def test_exhaustive_attack_report_is_pinned_on_seeded_keys():
@@ -438,31 +440,27 @@ def test_count_regime_rule_picks_the_lists_only_where_they_pay():
         assert attacks._count_pays(n, h)
 
 
-def _ascending(u):
-    """u in ascending order with its masks, as exhaustive_subset_attack hands them on."""
-    n = len(u)
-    order = sorted(range(n), key=u.__getitem__)
-    return [u[j] for j in order], [1 << (n - 1 - j) for j in order]
-
-
 def test_walk_and_count_helpers_give_equal_reports():
-    """Both unreduced regimes, called directly at every h, on seeded and tie-heavy keys."""
+    """Both unreduced counters, called directly at every h on seeded and tie-heavy keys.
+
+    Each must equal the brute-force count; the matches come from the divisor walk.
+    """
     rng = random.Random(1981)
     keys = [akleylek.keygen(20, attacks_bits(20), rng)[0].u for _ in range(2)]
     keys.append(_with_multiples(rng, rng.sample(range(2, 300), 14), 1 << 61))
     keys.append([1 << j for j in range(12)])
     for u in keys:
         n = len(u)
-        ascending, bit = _ascending(u)
+        ascending = sorted(u)
         for h in range(1, n + 1):
             encrypted = prod(rng.sample(u, h))
             for target in (encrypted, encrypted - 1, encrypted + 1, prod(ascending[:h]) - 1):
                 if target < 1:
                     continue
-                found, examined = attacks._walk_below(ascending, bit, h, target)
-                counted, examined_by_count = attacks._count_below(ascending, bit, h, target)
-                assert sorted(counted) == sorted(found)
-                assert examined_by_count == examined
+                within = sum(prod(c) <= target for c in itertools.combinations(u, h))
+                assert attacks._walk_below(ascending, h, target) == within
+                assert attacks._count_below(ascending, h, target) == within
+                found, _ = numtheory.divisor_subsets(u, target, h)
                 assert (found != []) == (target == encrypted)
 
 
@@ -557,6 +555,30 @@ def test_divisor_attack_refuses_past_its_node_cap_on_a_smooth_key(monkeypatch):
     monkeypatch.setattr(numtheory, "MAX_WALK_NODES", report.subsets_examined - 1)
     with pytest.raises(ParameterError, match="cap"):
         attacks.divisor_subset_attack(pk, ct)
+
+
+def test_exhaustive_attack_inherits_the_divisor_walks_node_cap(monkeypatch, tmp_path, capsys):
+    # the smooth key of the divisor attack's cap test: the exhaustive matches are that walk's
+    n, h = 14, 7
+    u = tuple(1 << j for j in range(n))
+    pk = akleylek.AkleylekPublicKey(n=n, p=2**61 - 1, s=(3,) * n, u=u)
+    ct = akleylek.AkleylekCiphertext(3**h, prod(u[3 : 3 + h]))
+    nodes = attacks.divisor_subset_attack(pk, ct).subsets_examined
+    within = sum(prod(c) <= ct.c2 for c in itertools.combinations(u, h))
+    monkeypatch.setattr(numtheory, "MAX_WALK_NODES", nodes)
+    report = attacks.exhaustive_subset_attack(pk, ct)
+    assert report.candidates == attacks.divisor_subset_attack(pk, ct).candidates
+    assert report.subsets_examined == within
+    monkeypatch.setattr(numtheory, "MAX_WALK_NODES", nodes - 1)
+    with pytest.raises(ParameterError, match="cap"):
+        attacks.exhaustive_subset_attack(pk, ct)
+    path = tmp_path / "smooth.pub"
+    path.write_text(keyfile.serialize_key(pk))
+    argv = ["attack", "--key", str(path), "--ciphertext", f"{ct.c1} {ct.c2}"]
+    assert cli.main([*argv, "--strategy", "exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the divisor walk passed its cap of {nodes - 1} nodes\n"
 
 
 def test_mitm_confirms_every_filter_hit_by_its_integer_product():

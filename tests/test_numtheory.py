@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knaplab import numtheory
 from knaplab.numtheory import (
     _TRIAL_LIMIT,
     _WINDOW,
@@ -372,6 +373,41 @@ def test_gen_prime_sequence_above_the_sieve_limit_draws_distinct_primes(seed):
         assert p.bit_length() == 24
         assert trial_division_is_prime(p)
     assert gen_prime_sequence(3, 24, random.Random(seed)) == seq
+
+
+@pytest.mark.parametrize("n, bits", [(2, 21), (4, 24), (8, 40)])
+def test_gen_prime_sequence_above_the_sieve_limit_certifies_each_prime_once(monkeypatch, n, bits):
+    # the search screens by the base-2 round; only the PrimeSequence runs the Lucas half
+    lucas = []
+    monkeypatch.setattr(
+        numtheory,
+        "_is_strong_lucas_probable_prime",
+        lambda c: lucas.append(c) or _is_strong_lucas_probable_prime(c),
+    )
+    seq = gen_prime_sequence(n, bits, random.Random(bits))
+    assert sorted(lucas) == sorted(seq.primes)
+
+
+class _FirstDraw(random.Random):
+    """A seeded rng whose first randrange returns a value fixed in advance."""
+
+    def __init__(self, first, seed):
+        super().__init__(seed)
+        self.pending = [first]
+
+    def randrange(self, *args):
+        return self.pending.pop() if self.pending else super().randrange(*args)
+
+
+def test_gen_prime_sequence_drops_a_base_2_pseudoprime_that_passed_its_screen():
+    pseudoprime = BASE_2_PASSING_COMPOSITES[0]  # 1093^2, a 21-bit Wieferich square
+    assert pseudoprime.bit_length() == 21 and is_probable_prime(pseudoprime, 1)
+    seq = gen_prime_sequence(4, 21, _FirstDraw(pseudoprime, 5))
+    assert pseudoprime not in seq.primes
+    assert len(set(seq.primes)) == 4
+    for p in seq.primes:
+        assert p.bit_length() == 21
+        assert trial_division_is_prime(p)
 
 
 def test_gen_superincreasing_invariant_over_many_draws():

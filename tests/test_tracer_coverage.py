@@ -6,6 +6,7 @@ fail here, in the test suite, rather than only in a traced benchmark run.
 Constructing a Tracer looks every target up without installing anything.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import pathlib
@@ -13,14 +14,15 @@ import random
 from collections import Counter
 from types import SimpleNamespace
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by file path as the benchmark runs it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def trace_one_op(spans, layers, op):
@@ -36,7 +38,7 @@ def trace_one_op(spans, layers, op):
 
 
 def test_tracer_covers_every_wrapped_knaplab_name():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     mods = SimpleNamespace(
         **{layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
     )
@@ -48,7 +50,7 @@ def test_tracer_covers_every_wrapped_knaplab_name():
 
 def test_tracer_taggers_read_every_attack_and_decrypt_all_call(toy_keypair):
     """The taggers read AttackReport fields and key class names; both must still exist."""
-    spans = load_spans()
+    spans = load_perfbench("spans")
     layers = {layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
     akleylek, attacks, modified = layers["akleylek"], layers["attacks"], layers["modified"]
     pub, sec = toy_keypair
@@ -75,7 +77,7 @@ def test_tracer_taggers_read_every_attack_and_decrypt_all_call(toy_keypair):
 
 def test_tracer_tags_parsed_key_files_of_both_schemes_by_role(toy_keypair):
     """The role tag reads "Public" or "Secret" in the parsed key's class name."""
-    spans = load_spans()
+    spans = load_perfbench("spans")
     layers = {layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
     keyfile, modified = layers["keyfile"], layers["modified"]
     keys = (*toy_keypair, *modified.keygen(10, 8, random.Random(3)))
@@ -94,7 +96,7 @@ def test_tracer_tags_parsed_key_files_of_both_schemes_by_role(toy_keypair):
 
 def test_tracer_reads_a_cli_encrypt_decrypt_round(tmp_path, capsys):
     """The CLI path cli-roundtrip traces: each key file parsed once, its group certified once."""
-    spans = load_spans()
+    spans = load_perfbench("spans")
     layers = {layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
     cli = layers["cli"]
     pub, sec = str(tmp_path / "k.pub"), str(tmp_path / "k.sec")
@@ -134,3 +136,36 @@ def test_tracer_reads_a_cli_encrypt_decrypt_round(tmp_path, capsys):
         "keyfile.parse_key.public": {("screen", True): 1},
         "keyfile.parse_key.secret": {("screen", True): 1, ("small", True): 16},
     }
+
+
+def test_traced_attack_sweep_cycle_reads_the_pinned_counter_digest(tmp_path):
+    """One attack-sweep cycle at seed 1, traced, gives run.py's counter_digest.
+
+    run.py --workload attack-sweep --trace 1 --seconds 3 --seed 1 traces
+    exactly one cycle and prints the first 16 hex digits of this sha256, so
+    a refactor that moves an examined, list-entry or candidate count fails
+    here.  Re-pin it only with a declared change of the seeded keys or of
+    what an attack counts.
+    """
+    spans, workloads = load_perfbench("spans"), load_perfbench("workloads")
+    mods = SimpleNamespace(
+        **{layer: importlib.import_module(f"knaplab.{layer}") for layer in spans.LAYERS}
+    )
+    wl = workloads.WORKLOADS["attack-sweep"]
+    state = wl.setup(mods, 1, str(tmp_path))
+    tracer = spans.Tracer(mods)
+    op = tracer.wrap(wl.op, spans.ROOT)
+    saved = random.getstate()  # each op seeds the global random
+    tracer.install()
+    try:
+        outcomes = []
+        for i in range(wl.cycle):
+            tracer.op = i
+            outcomes.append(op(mods, state, 1, i))
+    finally:
+        tracer.uninstall()
+        random.setstate(saved)
+    assert wl.cycle == 72 and outcomes == [workloads.OK] * 72
+    signatures = spans.op_signatures(tracer.take())
+    digest = hashlib.sha256(repr([signatures.get(i) for i in range(72)]).encode()).hexdigest()
+    assert digest[:16] == "cb7f62f689d950a5"
